@@ -125,16 +125,6 @@ void BM_NormalQuantile(benchmark::State& state) {
 }
 BENCHMARK(BM_NormalQuantile);
 
-void BM_GammaPInv(benchmark::State& state) {
-  double p = 0.01;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(num::gamma_p_inv(2.5, p));
-    p += 1e-4;
-    if (p >= 0.999) p = 0.01;
-  }
-}
-BENCHMARK(BM_GammaPInv);
-
 void BM_RefitCold(benchmark::State& state) {
   // The batch path live::Monitor would pay without warm-starting: a full
   // multistart fit from scratch on each refit.

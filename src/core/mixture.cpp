@@ -32,12 +32,6 @@ Scalar family_cdf_t(Family family, std::span<const Scalar> p, double t) {
       return num::normal_cdf((log(Scalar(t)) - p[0]) / p[1]);
     case Family::kGamma:
       return num::gamma_p(p[0], Scalar(t) / p[1]);
-    case Family::kLogLogistic: {
-      const Scalar z = pow(Scalar(t) / p[0], p[1]);
-      return z / (Scalar(1.0) + z);
-    }
-    case Family::kGompertz:
-      return -expm1(-(p[0] / p[1]) * expm1(p[1] * Scalar(t)));
   }
   throw std::logic_error("family_cdf_t: unknown family");
 }
@@ -66,8 +60,8 @@ Scalar mixture_curve(const MixtureSpec& spec, std::size_t n1, std::size_t n2, do
 // ---------------------------------------------------------------------------
 // SIMD batch kernels (4-lane chunks).
 //
-// These follow the family_cdf_grad formulas with two ulp-level respellings
-// chosen for speed:
+// Analytic gradients of the closed-form CDFs, with two ulp-level respellings
+// of the scalar curve chosen for speed:
 //   * pow(r, k) with r = t/a becomes exp(k (log t - log a)). log a is a
 //     per-series scalar, so every family (and the log trend) shares ONE
 //     simd_log(t) per chunk instead of paying a divide + log each.
@@ -88,23 +82,20 @@ struct FamilyChunk {
 constexpr double kInvSqrt2Pi = 0.3989422804014326779;
 
 // Per-family scalars hoisted out of the chunk loop (one per solve, not one
-// per chunk): the log of the scale parameter for the log-ratio families.
+// per chunk): the log of the Weibull scale.
 struct FamilyPre {
   double log_a = 0.0;
 };
 
 FamilyPre family_pre(Family family, const double* p) {
   FamilyPre pre;
-  if (family == Family::kWeibull || family == Family::kLogLogistic) {
-    pre.log_a = std::log(p[0]);
-  }
+  if (family == Family::kWeibull) pre.log_a = std::log(p[0]);
   return pre;
 }
 
 // True when the family consumes the shared log(t) pack.
 bool family_uses_log_t(Family family) {
-  return family == Family::kWeibull || family == Family::kLogNormal ||
-         family == Family::kLogLogistic;
+  return family == Family::kWeibull || family == Family::kLogNormal;
 }
 
 // One 4-lane chunk of a family CDF (+ gradient when Grad). `lt` carries
@@ -158,8 +149,9 @@ FamilyChunk<Pack> family_chunk(Family family, const double* p, const FamilyPre& 
       return out;
     }
     case Family::kGamma: {
-      // No pack form of the regularized incomplete gamma; all-scalar lanes,
-      // same formulas as family_cdf_grad.
+      // No pack form of the regularized incomplete gamma: all-scalar lanes.
+      // d/dscale is analytic (the gamma density); d/dshape is a central
+      // difference, as in the dual overload of num::gamma_p.
       const double k = p[0];
       const double theta = p[1];
       double f[Pack::width];
@@ -182,37 +174,6 @@ FamilyChunk<Pack> family_chunk(Family family, const double* p, const FamilyPre& 
       if constexpr (Grad) {
         out.g0 = Pack::load(g0);
         out.g1 = Pack::load(g1);
-      }
-      return out;
-    }
-    case Family::kLogLogistic: {
-      // F = z/(1+z), z = (t/a)^k; dF/dz = 1/(1+z)^2.
-      const Pack a = Pack::broadcast(p[0]);
-      const Pack k = Pack::broadcast(p[1]);
-      const Pack lr = lt - Pack::broadcast(pre.log_a);
-      const Pack z = num::simd_exp(k * lr);
-      const Pack zp1 = one + z;
-      out.f = z / zp1;
-      if constexpr (Grad) {
-        const Pack dFdz = one / (zp1 * zp1);
-        out.g0 = dFdz * (-((k * z) / a));
-        out.g1 = (dFdz * z) * lr;
-      }
-      return out;
-    }
-    case Family::kGompertz: {
-      // F = 1 - e^{-u}, u = (b/c)(e^{ct} - 1); e^{ct} = 1 + em1 reuses the
-      // expm1 and e^{-u} = 1 + expm1(-u) reuses the value's expm1.
-      const Pack b = Pack::broadcast(p[0]);
-      const Pack c = Pack::broadcast(p[1]);
-      const Pack em1 = num::simd_expm1(c * t);
-      const Pack u = (b / c) * em1;
-      const Pack emu = num::simd_expm1(-u);
-      out.f = -emu;
-      if constexpr (Grad) {
-        const Pack e = one + emu;
-        out.g0 = e * (em1 / c);
-        out.g1 = e * (b * ((t * (one + em1)) / c - em1 / (c * c)));
       }
       return out;
     }
@@ -342,8 +303,6 @@ std::string_view to_string(Family family) {
     case Family::kWeibull: return "wei";
     case Family::kLogNormal: return "lognorm";
     case Family::kGamma: return "gamma";
-    case Family::kLogLogistic: return "loglogis";
-    case Family::kGompertz: return "gompertz";
   }
   return "?";
 }
@@ -371,9 +330,7 @@ std::size_t family_num_parameters(Family family) {
     case Family::kExponential: return 1;
     case Family::kWeibull:
     case Family::kLogNormal:
-    case Family::kGamma:
-    case Family::kLogLogistic:
-    case Family::kGompertz: return 2;
+    case Family::kGamma: return 2;
   }
   throw std::logic_error("family_num_parameters: unknown family");
 }
@@ -385,80 +342,6 @@ double family_cdf(Family family, std::span<const double> p, double t) {
   return family_cdf_t<double>(family, p, t);
 }
 
-double family_cdf_grad(Family family, std::span<const double> p, double t,
-                       std::span<double> grad) {
-  if (p.size() != family_num_parameters(family) || grad.size() != p.size()) {
-    throw std::invalid_argument("family_cdf_grad: wrong parameter/gradient count");
-  }
-  if (t <= 0.0) {
-    for (double& g : grad) g = 0.0;
-    return 0.0;
-  }
-  switch (family) {
-    case Family::kExponential: {
-      const double e = std::exp(-p[0] * t);
-      grad[0] = t * e;
-      return 1.0 - e;
-    }
-    case Family::kWeibull: {
-      // F = 1 - e^{-z}, z = (t/a)^k.
-      const double a = p[0];
-      const double k = p[1];
-      const double lr = std::log(t / a);
-      const double z = std::exp(k * lr);
-      const double e = std::exp(-z);
-      grad[0] = -e * z * k / a;  // dz/da = -k z / a
-      grad[1] = e * z * lr;      // dz/dk = z ln(t/a)
-      return -std::expm1(-z);
-    }
-    case Family::kLogNormal: {
-      const double u = (std::log(t) - p[0]) / p[1];
-      constexpr double kInvSqrt2Pi = 0.3989422804014326779;
-      const double phi = kInvSqrt2Pi * std::exp(-0.5 * u * u);
-      grad[0] = -phi / p[1];
-      grad[1] = -phi * u / p[1];
-      return num::normal_cdf(u);
-    }
-    case Family::kGamma: {
-      // F = P(k, t/theta). d/dtheta is analytic; d/dk by central difference.
-      const double k = p[0];
-      const double theta = p[1];
-      const double x = t / theta;
-      const double dens =
-          std::exp((k - 1.0) * std::log(x) - x - std::lgamma(k));  // dP/dx
-      grad[1] = -dens * x / theta;
-      const double h = 1e-6 * std::max(1.0, k);
-      grad[0] = (num::gamma_p(k + h, x) - num::gamma_p(k - h, x)) / (2.0 * h);
-      return num::gamma_p(k, x);
-    }
-    case Family::kLogLogistic: {
-      // F = z/(1+z), z = (t/a)^k; dF/dz = 1/(1+z)^2.
-      const double a = p[0];
-      const double k = p[1];
-      const double lr = std::log(t / a);
-      const double z = std::exp(k * lr);
-      const double dFdz = 1.0 / ((1.0 + z) * (1.0 + z));
-      grad[0] = dFdz * (-k * z / a);
-      grad[1] = dFdz * z * lr;
-      return z / (1.0 + z);
-    }
-    case Family::kGompertz: {
-      // F = 1 - e^{-u}, u = (b/c)(e^{ct} - 1).
-      const double b = p[0];
-      const double c = p[1];
-      const double em1 = std::expm1(c * t);
-      const double u = (b / c) * em1;
-      const double e = std::exp(-u);
-      const double du_db = em1 / c;
-      const double du_dc = b * (t * std::exp(c * t) / c - em1 / (c * c));
-      grad[0] = e * du_db;
-      grad[1] = e * du_dc;
-      return -std::expm1(-u);
-    }
-  }
-  throw std::logic_error("family_cdf_grad: unknown family");
-}
-
 namespace {
 
 std::string family_paper_label(Family f) {
@@ -467,8 +350,6 @@ std::string family_paper_label(Family f) {
     case Family::kWeibull: return "Wei";
     case Family::kLogNormal: return "LogN";
     case Family::kGamma: return "Gam";
-    case Family::kLogLogistic: return "LogL";
-    case Family::kGompertz: return "Gom";
   }
   return "?";
 }
@@ -493,15 +374,6 @@ void degradation_guess(Family f, double trough_time, std::vector<double>* out) {
       out->push_back(2.0);
       out->push_back(td / 2.0);
       break;
-    case Family::kLogLogistic:
-      out->push_back(1.5 * td);  // scale (median)
-      out->push_back(2.5);       // shape
-      break;
-    case Family::kGompertz:
-      // Median ~ td: ln(1 + c ln2 / b)/c with c fixed at a gentle 0.1.
-      out->push_back(std::log(2.0) * 0.1 / std::expm1(0.1 * td));
-      out->push_back(0.1);
-      break;
   }
 }
 
@@ -523,14 +395,6 @@ void recovery_guess(Family f, double trough_time, double horizon, std::vector<do
     case Family::kGamma:
       out->push_back(2.0);
       out->push_back(mid / 2.0);
-      break;
-    case Family::kLogLogistic:
-      out->push_back(mid);
-      out->push_back(2.5);
-      break;
-    case Family::kGompertz:
-      out->push_back(std::log(2.0) * 0.1 / std::expm1(0.1 * mid));
-      out->push_back(0.1);
       break;
   }
 }
@@ -558,18 +422,6 @@ void family_box(Family f, double horizon, std::vector<double>* lo, std::vector<d
       hi->push_back(8.0);
       lo->push_back(0.5);
       hi->push_back(horizon);
-      break;
-    case Family::kLogLogistic:
-      lo->push_back(1.0);
-      hi->push_back(3.0 * horizon);
-      lo->push_back(0.5);
-      hi->push_back(8.0);
-      break;
-    case Family::kGompertz:
-      lo->push_back(1e-5);
-      hi->push_back(0.5);
-      lo->push_back(1e-3);
-      hi->push_back(0.5);
       break;
   }
 }
@@ -623,14 +475,6 @@ std::vector<std::string> MixtureModel::parameter_names() const {
         names.push_back(prefix + ".shape");
         names.push_back(prefix + ".scale");
         break;
-      case Family::kLogLogistic:
-        names.push_back(prefix + ".scale");
-        names.push_back(prefix + ".shape");
-        break;
-      case Family::kGompertz:
-        names.push_back(prefix + ".rate");
-        names.push_back(prefix + ".shape");
-        break;
     }
   };
   add(spec_.degradation, "F1");
@@ -649,8 +493,6 @@ std::vector<opt::Bound> MixtureModel::parameter_bounds() const {
         break;
       case Family::kWeibull:
       case Family::kGamma:
-      case Family::kLogLogistic:
-      case Family::kGompertz:
         bounds.push_back(opt::Bound::positive());
         bounds.push_back(opt::Bound::positive());
         break;
@@ -694,7 +536,7 @@ num::Vector MixtureModel::gradient(double t, const num::Vector& p) const {
   // One seeded dual sweep per parameter through the same generic curve the
   // evaluation uses -- exact derivatives everywhere the curve is smooth (the
   // Gamma shape direction alone falls back to a central difference inside
-  // num::gamma_p, matching family_cdf_grad).
+  // num::gamma_p).
   const MixtureSpec spec = spec_;
   const std::size_t n1 = n1_;
   const std::size_t n2 = n2_;

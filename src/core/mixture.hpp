@@ -19,8 +19,6 @@
 //   Weibull:     {scale, shape}
 //   LogNormal:   {mu, sigma}       (extension beyond the paper)
 //   Gamma:       {shape, scale}    (extension beyond the paper)
-//   LogLogistic: {scale, shape}    (extension beyond the paper)
-//   Gompertz:    {rate, shape}     (extension beyond the paper)
 #pragma once
 
 #include <span>
@@ -29,14 +27,7 @@
 
 namespace prm::core {
 
-enum class Family {
-  kExponential,
-  kWeibull,
-  kLogNormal,
-  kGamma,
-  kLogLogistic,
-  kGompertz,
-};
+enum class Family { kExponential, kWeibull, kLogNormal, kGamma };
 enum class RecoveryTrend { kConstant, kLinear, kExponential, kLogarithmic };
 
 /// The degradation transition a1(t) of Eq. 7 (see the header comment).
@@ -55,12 +46,6 @@ std::size_t family_num_parameters(Family family);
 /// CDF of `family` at t with the given parameter slice.
 /// Throws std::invalid_argument on wrong parameter count.
 double family_cdf(Family family, std::span<const double> params, double t);
-
-/// CDF value plus the gradient dF/dparams (same length as `params`).
-/// Analytic for every family except the Gamma shape parameter, which uses a
-/// central difference (the digamma-series derivative is not worth the code).
-double family_cdf_grad(Family family, std::span<const double> params, double t,
-                       std::span<double> grad);
 
 struct MixtureSpec {
   Family degradation = Family::kWeibull;     ///< F1
@@ -86,15 +71,15 @@ class MixtureModel final : public ResilienceModel {
 
   double evaluate(double t, const num::Vector& params) const override;
 
-  /// Analytic dP/dparams (see family_cdf_grad for the one FD exception).
+  /// Exact dP/dparams by dual numbers through the same curve as evaluate()
+  /// (the Gamma shape direction alone is a central difference).
   num::Vector gradient(double t, const num::Vector& params) const override;
 
   /// SIMD batch kernels: whole-series evaluation / analytic gradient rows in
-  /// 4-lane chunks with vectorized exp/log/expm1/log1p. The Exponential,
-  /// Weibull, LogLogistic and Gompertz families are fully vectorized; the
-  /// LogNormal CDF and the Gamma family fall back to per-lane scalar calls
-  /// (no pack form of the incomplete gamma), with the surrounding chain
-  /// still vectorized.
+  /// 4-lane chunks with vectorized exp/log/expm1. The Exponential and
+  /// Weibull families are fully vectorized; the LogNormal CDF and the Gamma
+  /// family fall back to per-lane scalar calls (no pack form of the
+  /// incomplete gamma), with the surrounding chain still vectorized.
   void eval_batch(std::span<const double> t, const num::Vector& params,
                   std::span<double> out) const override;
   void gradient_batch(std::span<const double> t, const num::Vector& params,

@@ -101,16 +101,20 @@ PerformanceSeries generate_scenario(const ScenarioSpec& spec) {
         "generate_scenario: second_dip_at must lie in (trough_at, 1)");
   }
 
-  std::mt19937_64 rng(spec.seed);
-  std::normal_distribution<double> gauss(0.0, spec.noise);
+  if (!(spec.noise >= 0.0)) {
+    throw std::invalid_argument("generate_scenario: noise must be >= 0");
+  }
 
   std::vector<double> values(spec.length);
   const double denom = static_cast<double>(spec.length - 1);
   for (std::size_t i = 0; i < spec.length; ++i) {
-    const double u = static_cast<double>(i) / denom;
-    double v = base_curve(spec, u);
-    if (i > 0 && spec.noise > 0.0) v *= 1.0 + gauss(rng);
-    values[i] = v;
+    values[i] = base_curve(spec, static_cast<double>(i) / denom);
+  }
+  // normal_distribution requires a positive stddev, so noise 0 builds none.
+  if (spec.noise > 0.0) {
+    std::mt19937_64 rng(spec.seed);
+    std::normal_distribution<double> gauss(0.0, spec.noise);
+    for (std::size_t i = 1; i < spec.length; ++i) values[i] *= 1.0 + gauss(rng);
   }
   values[0] = 1.0;
 

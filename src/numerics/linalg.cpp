@@ -5,59 +5,6 @@
 
 namespace prm::num {
 
-CholeskyResult cholesky(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("cholesky: matrix must be square");
-  }
-  const std::size_t n = a.rows();
-  CholeskyResult res;
-  res.l = Matrix(n, n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    double d = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) d -= res.l(j, k) * res.l(j, k);
-    if (!(d > 0.0) || !std::isfinite(d)) {
-      res.ok = false;
-      return res;
-    }
-    res.l(j, j) = std::sqrt(d);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= res.l(i, k) * res.l(j, k);
-      res.l(i, j) = s / res.l(j, j);
-    }
-  }
-  res.ok = true;
-  return res;
-}
-
-Vector cholesky_solve(const CholeskyResult& chol, const Vector& b) {
-  if (!chol.ok) throw std::invalid_argument("cholesky_solve: factorization failed");
-  const Matrix& l = chol.l;
-  const std::size_t n = l.rows();
-  if (b.size() != n) throw std::invalid_argument("cholesky_solve: size mismatch");
-  // Forward substitution L y = b.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
-  }
-  // Back substitution L^T x = y.
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-    x[ii] = s / l(ii, ii);
-  }
-  return x;
-}
-
-std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
-  CholeskyResult chol = cholesky(a);
-  if (!chol.ok) return std::nullopt;
-  return cholesky_solve(chol, b);
-}
-
 bool cholesky_into(const Matrix& a, Matrix* l) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("cholesky_into: matrix must be square");
@@ -225,12 +172,6 @@ Vector lu_solve(const LuResult& f, const Vector& b) {
     x[ii] = s / f.lu(ii, ii);
   }
   return x;
-}
-
-std::optional<Vector> solve(const Matrix& a, const Vector& b) {
-  LuResult f = lu_decompose(a);
-  if (f.singular) return std::nullopt;
-  return lu_solve(f, b);
 }
 
 std::optional<Matrix> inverse(const Matrix& a) {

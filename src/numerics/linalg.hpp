@@ -1,7 +1,7 @@
 // Direct solvers for the small dense systems that arise in least-squares
 // fitting: Cholesky (for SPD normal equations), Householder QR (for
 // rectangular least squares without forming the normal equations), and
-// partially-pivoted LU (general square systems).
+// partially-pivoted LU (inverses for the parameter covariance, determinants).
 #pragma once
 
 #include <optional>
@@ -10,28 +10,11 @@
 
 namespace prm::num {
 
-/// Result of a Cholesky factorization A = L L^T (lower triangular L).
-struct CholeskyResult {
-  Matrix l;        ///< Lower-triangular factor.
-  bool ok = false; ///< False if A was not (numerically) positive definite.
-};
-
-/// Factor a symmetric positive definite matrix. Only the lower triangle of
-/// `a` is read. Fails (ok=false) on non-SPD input rather than throwing so
-/// optimizers can react by increasing damping.
-CholeskyResult cholesky(const Matrix& a);
-
-/// Solve A x = b given the Cholesky factor L of A.
-Vector cholesky_solve(const CholeskyResult& chol, const Vector& b);
-
-/// Solve the SPD system A x = b via Cholesky. Returns nullopt if A is not
-/// numerically positive definite.
-std::optional<Vector> solve_spd(const Matrix& a, const Vector& b);
-
-// Into-buffer forms for the allocation-free fit hot path: the caller owns
-// the factor/solution/scratch buffers (opt::FitWorkspace) and reuses them
-// across iterations. Numerically identical to the allocating forms.
-
+/// Cholesky factorization A = L L^T of a symmetric positive definite matrix
+/// (only its lower triangle is read) for the allocation-free fit hot path:
+/// the caller owns the factor, solution and scratch buffers
+/// (opt::FitWorkspace) and reuses them across iterations.
+///
 /// Factor SPD `a` into caller-owned `l` (reshaped in place). Returns false —
 /// with `l` contents unspecified — when `a` is not numerically positive
 /// definite, so optimizers can react by increasing damping.
@@ -65,9 +48,6 @@ struct LuResult {
 
 LuResult lu_decompose(const Matrix& a);
 Vector lu_solve(const LuResult& lu, const Vector& b);
-
-/// Solve a general square system; nullopt when singular.
-std::optional<Vector> solve(const Matrix& a, const Vector& b);
 
 /// Inverse of a square matrix via LU; nullopt when singular.
 std::optional<Matrix> inverse(const Matrix& a);

@@ -132,101 +132,4 @@ double gamma_q(double a, double x) {
   return gamma_q_cf(a, x);
 }
 
-double gamma_p_inv(double a, double p) {
-  if (!(a > 0.0)) throw std::domain_error("gamma_p_inv: a must be positive");
-  if (!(p >= 0.0 && p < 1.0)) throw std::domain_error("gamma_p_inv: p must lie in [0, 1)");
-  if (p == 0.0) return 0.0;
-
-  // Initial guess (Numerical Recipes): Wilson-Hilferty for a > 1, else a
-  // small-a power-law start.
-  const double gln = std::lgamma(a);
-  double x;
-  if (a > 1.0) {
-    // Abramowitz-Stegun 26.2.23 gives z with Q(z) = pp (so z is the POSITIVE
-    // upper-tail normal quantile); Wilson-Hilferty then maps the normal
-    // quantile of p into a gamma quantile.
-    const double pp = (p < 0.5) ? p : 1.0 - p;
-    const double t = std::sqrt(-2.0 * std::log(pp));
-    double z = t - (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481));
-    if (p < 0.5) z = -z;  // z is now the normal quantile of p
-    const double a1 = 1.0 - 1.0 / (9.0 * a);
-    const double a2 = z / (3.0 * std::sqrt(a));
-    x = a * std::pow(a1 + a2, 3);
-    if (x <= 0.0) x = 1e-8;
-  } else {
-    const double t = 1.0 - a * (0.253 + a * 0.12);
-    if (p < t) {
-      x = std::pow(p / t, 1.0 / a);
-    } else {
-      x = 1.0 - std::log(1.0 - (p - t) / (1.0 - t));
-    }
-  }
-
-  // Newton iterations with Halley correction on P(a, x) - p.
-  for (int it = 0; it < 64; ++it) {
-    if (x <= 0.0) x = 1e-12;
-    const double err = gamma_p(a, x) - p;
-    const double t = std::exp(-x + (a - 1.0) * std::log(x) - gln);  // P'(a, x)
-    if (t == 0.0) break;
-    const double u = err / t;
-    // Halley step.
-    const double dx = u / (1.0 - 0.5 * std::min(1.0, u * ((a - 1.0) / x - 1.0)));
-    x -= dx;
-    if (std::fabs(dx) < 1e-14 * std::max(x, 1e-14)) break;
-  }
-  return x;
-}
-
-double log_beta(double a, double b) {
-  if (!(a > 0.0) || !(b > 0.0)) throw std::domain_error("log_beta: arguments must be positive");
-  return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
-}
-
-namespace {
-// Continued fraction for the incomplete beta (Numerical Recipes betacf).
-double betacf(double a, double b, double x) {
-  const double tiny = 1e-300;
-  const double qab = a + b;
-  const double qap = a + 1.0;
-  const double qam = a - 1.0;
-  double c = 1.0;
-  double d = 1.0 - qab * x / qap;
-  if (std::fabs(d) < tiny) d = tiny;
-  d = 1.0 / d;
-  double h = d;
-  for (int m = 1; m <= 500; ++m) {
-    const double m2 = 2.0 * m;
-    double aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < tiny) d = tiny;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < tiny) c = tiny;
-    d = 1.0 / d;
-    h *= d * c;
-    aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < tiny) d = tiny;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < tiny) c = tiny;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < 1e-16) break;
-  }
-  return h;
-}
-}  // namespace
-
-double beta_inc(double a, double b, double x) {
-  if (!(a > 0.0) || !(b > 0.0)) throw std::domain_error("beta_inc: a, b must be positive");
-  if (x < 0.0 || x > 1.0) throw std::domain_error("beta_inc: x must lie in [0, 1]");
-  if (x == 0.0) return 0.0;
-  if (x == 1.0) return 1.0;
-  const double lbeta = std::exp(a * std::log(x) + b * std::log(1.0 - x) - log_beta(a, b));
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return lbeta * betacf(a, b, x) / a;
-  }
-  return 1.0 - lbeta * betacf(b, a, 1.0 - x) / b;
-}
-
 }  // namespace prm::num

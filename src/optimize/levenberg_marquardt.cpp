@@ -46,17 +46,6 @@ void eval_jacobian_ws(const ResidualProblem& problem, const num::Vector& p,
   ws.j = num::jacobian_central(problem.residuals, p);
 }
 
-num::Matrix eval_jacobian(const ResidualProblem& problem, const num::Vector& p,
-                          int* evals) {
-  if (problem.has_jacobian()) {
-    num::Matrix j;
-    problem.eval_jacobian(p, j);
-    return j;
-  }
-  *evals += static_cast<int>(2 * p.size());
-  return num::jacobian_central(problem.residuals, p);
-}
-
 }  // namespace
 
 OptimizeResult levenberg_marquardt(const ResidualProblem& problem, const num::Vector& initial,
@@ -175,51 +164,6 @@ OptimizeResult levenberg_marquardt(const ResidualProblem& problem, const num::Ve
     }
   }
 
-  result.parameters = p;
-  result.cost = cost;
-  return result;
-}
-
-OptimizeResult gauss_newton(const ResidualProblem& problem, const num::Vector& initial,
-                            int max_iterations) {
-  OptimizeResult result;
-  num::Vector p = initial;
-  num::Vector r = problem.residuals(p);
-  result.function_evaluations = 1;
-  double cost = half_squared_norm(r);
-  result.stop_reason = StopReason::kMaxIterations;
-
-  for (int it = 0; it < max_iterations; ++it) {
-    result.iterations = it + 1;
-    const num::Matrix j = eval_jacobian(problem, p, &result.function_evaluations);
-    const num::Vector g = num::at_times(j, r);
-    if (num::norm_inf(g) < 1e-12) {
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
-    const auto dp = num::solve_spd(num::gram(j), num::scaled(-1.0, g));
-    if (!dp) {
-      result.stop_reason = StopReason::kStalled;
-      break;
-    }
-    const num::Vector p_new = num::add(p, *dp);
-    const num::Vector r_new = problem.residuals(p_new);
-    ++result.function_evaluations;
-    const double cost_new = half_squared_norm(r_new);
-    if (!all_finite(r_new) || cost_new >= cost) {
-      result.stop_reason = StopReason::kStalled;
-      break;
-    }
-    if ((cost - cost_new) / std::max(cost, 1e-300) < 1e-14) {
-      p = p_new;
-      cost = cost_new;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
-    p = p_new;
-    r = r_new;
-    cost = cost_new;
-  }
   result.parameters = p;
   result.cost = cost;
   return result;

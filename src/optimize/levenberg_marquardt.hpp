@@ -27,9 +27,4 @@ struct LmOptions {
 OptimizeResult levenberg_marquardt(const ResidualProblem& problem, const num::Vector& initial,
                                    const LmOptions& options = {});
 
-/// One (undamped) Gauss-Newton solve from `initial`; mostly for tests and as
-/// a polish step on nearly-quadratic basins.
-OptimizeResult gauss_newton(const ResidualProblem& problem, const num::Vector& initial,
-                            int max_iterations = 50);
-
 }  // namespace prm::opt

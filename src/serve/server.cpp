@@ -427,19 +427,14 @@ void Server::drain_inbox(EventLoop& loop) {
 }
 
 void Server::wake(EventLoop& loop) {
-  bool need_write = false;
-  int wake_fd = -1;
-  {
-    std::lock_guard<std::mutex> lock(loop.inbox_mutex);
-    if (!loop.wake_signaled && loop.wake_write >= 0) {
-      loop.wake_signaled = true;
-      need_write = true;
-      wake_fd = loop.wake_write;
-    }
-  }
-  if (need_write) {
+  // The write stays under the lock: the exiting loop closes wake_write under
+  // the same lock, so an unlocked write could hit a closed (or reused) fd.
+  // The pipe is nonblocking, so the write never waits.
+  std::lock_guard<std::mutex> lock(loop.inbox_mutex);
+  if (!loop.wake_signaled && loop.wake_write >= 0) {
+    loop.wake_signaled = true;
     const char byte = 'w';
-    (void)::write(wake_fd, &byte, 1);
+    (void)::write(loop.wake_write, &byte, 1);
   }
 }
 

@@ -1,10 +1,6 @@
-// Lifetime distribution interface.
-//
-// Mixture resilience models (paper Eq. 7) compose arbitrary CDFs for the
-// degradation (F1) and recovery (F2) processes. This interface is what the
-// mixture layer programs against; Exponential/Weibull are the pairs the
-// paper evaluates (Table III/IV), Normal/LogNormal/Gamma are provided so
-// downstream users can extend the family without touching core code.
+// Continuous distribution interface, implemented by stats::Normal. The
+// mixture models' F1/F2 CDFs are closed forms in core/mixture.cpp and do not
+// go through it.
 #pragma once
 
 #include <limits>
@@ -13,14 +9,13 @@
 
 namespace prm::stats {
 
-/// A continuous distribution on [0, inf) (or R for Normal) exposing the
-/// pieces reliability modeling needs. Implementations are immutable value
-/// types behind this interface; all methods are pure.
+/// A continuous distribution exposing the pieces reliability modeling needs.
+/// Implementations are immutable value types; all methods are pure.
 class Distribution {
  public:
   virtual ~Distribution() = default;
 
-  /// Distribution family name, e.g. "Weibull".
+  /// Distribution family name, e.g. "Normal".
   virtual std::string name() const = 0;
 
   /// Number of parameters (for information criteria).

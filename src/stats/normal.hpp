@@ -1,5 +1,5 @@
 // Normal distribution. Used for the confidence-interval machinery (critical
-// values z_{1-alpha/2}, Eq. 13) and available as a mixture building block.
+// values z_{1-alpha/2}, Eq. 13).
 #pragma once
 
 #include "stats/distribution.hpp"

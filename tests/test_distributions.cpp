@@ -2,21 +2,17 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "numerics/differentiate.hpp"
 #include "numerics/integrate.hpp"
-#include "stats/exponential.hpp"
-#include "stats/gamma.hpp"
-#include "stats/gompertz.hpp"
-#include "stats/loglogistic.hpp"
-#include "stats/lognormal.hpp"
 #include "stats/normal.hpp"
-#include "stats/weibull.hpp"
 
 namespace prm::stats {
 namespace {
 
-// ---- Family-generic properties, parameterized over all distributions ----
+// ---- Distribution-interface contract, parameterized over the members ----
 
 struct DistCase {
   std::string label;
@@ -24,6 +20,10 @@ struct DistCase {
   double probe_lo;
   double probe_hi;
 };
+
+// Print a case by its label: gtest's default raw-byte dump includes heap
+// addresses, which would make the listed test names differ between builds.
+void PrintTo(const DistCase& c, std::ostream* os) { *os << c.label; }
 
 class DistributionContract : public ::testing::TestWithParam<DistCase> {};
 
@@ -81,12 +81,10 @@ TEST_P(DistributionContract, HazardIsPdfOverSurvival) {
 
 TEST_P(DistributionContract, MeanMatchesNumericIntegral) {
   const auto& d = *GetParam().dist;
-  // E[X] = integral x f(x); integrate far into the tail. Guard the integrand
-  // at x = 0 where heavy-at-origin densities (Weibull k < 1) are infinite but
-  // x * f(x) -> 0.
+  // E[X] = integral x f(x); integrate far into the tail.
   const double hi = d.quantile(0.999999);
   const double lo = std::min(0.0, GetParam().probe_lo);
-  const auto integrand = [&d](double x) { return x == 0.0 ? 0.0 : x * d.pdf(x); };
+  const auto integrand = [&d](double x) { return x * d.pdf(x); };
   const double mean_num = num::adaptive_simpson(integrand, lo, hi, 1e-11).value;
   EXPECT_NEAR(mean_num, d.mean(), 2e-3 * std::max(1.0, std::fabs(d.mean())))
       << GetParam().label;
@@ -101,62 +99,10 @@ TEST_P(DistributionContract, CloneIsIndependentEqualValue) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, DistributionContract,
-    ::testing::Values(
-        DistCase{"exponential", std::make_shared<Exponential>(0.7), 0.0, 8.0},
-        DistCase{"weibull_k2", std::make_shared<Weibull>(3.0, 2.0), 0.0, 10.0},
-        DistCase{"weibull_k05", std::make_shared<Weibull>(2.0, 0.8), 0.01, 12.0},
-        DistCase{"normal", std::make_shared<Normal>(1.0, 2.0), -7.0, 9.0},
-        DistCase{"lognormal", std::make_shared<LogNormal>(0.3, 0.5), 0.01, 10.0},
-        DistCase{"gamma", std::make_shared<Gamma>(2.5, 1.5), 0.0, 25.0},
-        DistCase{"loglogistic", std::make_shared<LogLogistic>(3.0, 4.0), 0.0, 30.0},
-        DistCase{"gompertz", std::make_shared<Gompertz>(0.05, 0.3), 0.0, 15.0}),
+    ::testing::Values(DistCase{"normal", std::make_shared<Normal>(1.0, 2.0), -7.0, 9.0}),
     [](const ::testing::TestParamInfo<DistCase>& info) { return info.param.label; });
 
 // ---- Family-specific facts ----
-
-TEST(Exponential, MemorylessAndMoments) {
-  const Exponential e(0.5);
-  EXPECT_DOUBLE_EQ(e.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(e.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(e.hazard(0.1), 0.5);
-  EXPECT_DOUBLE_EQ(e.hazard(10.0), 0.5);  // constant hazard
-  // Memorylessness: S(s + t) = S(s) S(t).
-  EXPECT_NEAR(e.survival(3.0), e.survival(1.0) * e.survival(2.0), 1e-14);
-}
-
-TEST(Exponential, RejectsBadRate) {
-  EXPECT_THROW(Exponential(0.0), std::invalid_argument);
-  EXPECT_THROW(Exponential(-1.0), std::invalid_argument);
-  EXPECT_THROW(Exponential(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
-}
-
-TEST(Weibull, ReducesToExponentialAtShapeOne) {
-  const Weibull w(2.0, 1.0);
-  const Exponential e(0.5);
-  for (double x : {0.1, 1.0, 3.0}) {
-    EXPECT_NEAR(w.cdf(x), e.cdf(x), 1e-14);
-    EXPECT_NEAR(w.pdf(x), e.pdf(x), 1e-14);
-  }
-}
-
-TEST(Weibull, HazardMonotoneByShape) {
-  const Weibull increasing(1.0, 2.0);
-  EXPECT_LT(increasing.hazard(0.5), increasing.hazard(2.0));
-  const Weibull decreasing(1.0, 0.5);
-  EXPECT_GT(decreasing.hazard(0.5), decreasing.hazard(2.0));
-}
-
-TEST(Weibull, PdfBoundaryByShape) {
-  EXPECT_TRUE(std::isinf(Weibull(1.0, 0.5).pdf(0.0)));
-  EXPECT_DOUBLE_EQ(Weibull(2.0, 1.0).pdf(0.0), 0.5);
-  EXPECT_DOUBLE_EQ(Weibull(1.0, 2.0).pdf(0.0), 0.0);
-}
-
-TEST(Weibull, RejectsBadParameters) {
-  EXPECT_THROW(Weibull(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Weibull(1.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(Weibull(-1.0, 2.0), std::invalid_argument);
-}
 
 TEST(Normal, StandardFacts) {
   const Normal n(0.0, 1.0);
@@ -170,97 +116,6 @@ TEST(Normal, CriticalValueHelper) {
   EXPECT_NEAR(normal_critical_value(0.01), 2.5758293035489004, 1e-8);
   EXPECT_THROW(normal_critical_value(0.0), std::domain_error);
   EXPECT_THROW(normal_critical_value(1.0), std::domain_error);
-}
-
-TEST(LogNormal, LogTransformsToNormal) {
-  const LogNormal ln(0.5, 0.8);
-  const Normal n(0.5, 0.8);
-  for (double x : {0.3, 1.0, 4.0}) {
-    EXPECT_NEAR(ln.cdf(x), n.cdf(std::log(x)), 1e-14);
-  }
-  EXPECT_DOUBLE_EQ(ln.cdf(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(ln.cdf(-1.0), 0.0);
-}
-
-TEST(LogNormal, MeanFormula) {
-  const LogNormal ln(0.2, 0.6);
-  EXPECT_NEAR(ln.mean(), std::exp(0.2 + 0.18), 1e-12);
-}
-
-TEST(Gamma, ShapeOneIsExponential) {
-  const Gamma g(1.0, 2.0);
-  const Exponential e(0.5);
-  for (double x : {0.5, 1.0, 3.0}) {
-    EXPECT_NEAR(g.cdf(x), e.cdf(x), 1e-12);
-    EXPECT_NEAR(g.pdf(x), e.pdf(x), 1e-12);
-  }
-}
-
-TEST(Gamma, Moments) {
-  const Gamma g(3.0, 2.0);
-  EXPECT_DOUBLE_EQ(g.mean(), 6.0);
-  EXPECT_DOUBLE_EQ(g.variance(), 12.0);
-}
-
-TEST(Gamma, RejectsBadParameters) {
-  EXPECT_THROW(Gamma(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Gamma(1.0, -2.0), std::invalid_argument);
-}
-
-TEST(LogLogistic, MedianIsScale) {
-  const LogLogistic ll(3.5, 2.0);
-  EXPECT_NEAR(ll.cdf(3.5), 0.5, 1e-14);
-  EXPECT_NEAR(ll.quantile(0.5), 3.5, 1e-12);
-}
-
-TEST(LogLogistic, MeanClosedFormAndDivergence) {
-  const LogLogistic finite(2.0, 3.0);
-  const double b = M_PI / 3.0;
-  EXPECT_NEAR(finite.mean(), 2.0 * b / std::sin(b), 1e-12);
-  EXPECT_TRUE(std::isinf(LogLogistic(2.0, 1.0).mean()));
-  EXPECT_TRUE(std::isinf(LogLogistic(2.0, 2.0).variance()));
-}
-
-TEST(LogLogistic, HazardNonMonotoneForShapeAboveOne) {
-  // Hazard rises then falls: h(0.2) < h(peak region) > h(50).
-  const LogLogistic ll(2.0, 3.0);
-  const double early = ll.hazard(0.2);
-  const double mid = ll.hazard(2.0);
-  const double late = ll.hazard(50.0);
-  EXPECT_GT(mid, early);
-  EXPECT_GT(mid, late);
-}
-
-TEST(LogLogistic, RejectsBadParameters) {
-  EXPECT_THROW(LogLogistic(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(LogLogistic(1.0, 0.0), std::invalid_argument);
-}
-
-TEST(Gompertz, HazardGrowsExponentially) {
-  const Gompertz g(0.1, 0.5);
-  EXPECT_NEAR(g.hazard(0.0), 0.1, 1e-14);
-  EXPECT_NEAR(g.hazard(2.0) / g.hazard(1.0), std::exp(0.5), 1e-12);
-}
-
-TEST(Gompertz, QuantileInvertsCdfInTails) {
-  const Gompertz g(0.05, 0.3);
-  for (double p : {1e-6, 0.5, 1.0 - 1e-9}) {
-    EXPECT_NEAR(g.cdf(g.quantile(p)), p, 1e-9);
-  }
-}
-
-TEST(Gompertz, NumericMomentsAreSelfConsistent) {
-  const Gompertz g(0.05, 0.3);
-  EXPECT_GT(g.mean(), 0.0);
-  EXPECT_GT(g.variance(), 0.0);
-  // Mean must lie between the quartiles' midpoint neighborhood (sanity) and
-  // below the 99% quantile.
-  EXPECT_LT(g.mean(), g.quantile(0.99));
-}
-
-TEST(Gompertz, RejectsBadParameters) {
-  EXPECT_THROW(Gompertz(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Gompertz(1.0, 0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace prm::data {
 namespace {
 
@@ -121,6 +123,28 @@ TEST(Generator, InvalidSpecsThrow) {
   spec = {};
   spec.shape = RecessionShape::kW;
   spec.second_dip_at = spec.trough_at / 2.0;  // before the first dip
+  EXPECT_THROW(generate_scenario(spec), std::invalid_argument);
+}
+
+TEST(Generator, ZeroNoiseGivesTheNoiseFreeCurve) {
+  // With no noise the seed draws nothing, so every seed yields one curve.
+  ScenarioSpec a;
+  a.noise = 0.0;
+  a.seed = 1;
+  ScenarioSpec b = a;
+  b.seed = 99;
+  const auto sa = generate_scenario(a);
+  const auto sb = generate_scenario(b);
+  ASSERT_EQ(sa.size(), sb.size());
+  EXPECT_EQ(sa.value(0), 1.0);
+  for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa.value(i), sb.value(i));
+}
+
+TEST(Generator, NegativeOrNanNoiseThrows) {
+  ScenarioSpec spec;
+  spec.noise = -0.001;
+  EXPECT_THROW(generate_scenario(spec), std::invalid_argument);
+  spec.noise = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(generate_scenario(spec), std::invalid_argument);
 }
 

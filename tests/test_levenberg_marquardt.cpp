@@ -128,25 +128,6 @@ TEST(LevenbergMarquardt, RespectsIterationBudget) {
   EXPECT_LE(r.iterations, 3);
 }
 
-TEST(GaussNewton, SolvesLinearProblem) {
-  const OptimizeResult r = gauss_newton(linear_problem(), {0.0, 0.0});
-  EXPECT_TRUE(r.usable());
-  EXPECT_NEAR(r.parameters[0], 1.0, 1e-8);
-  EXPECT_NEAR(r.parameters[1], 2.0, 1e-8);
-}
-
-TEST(GaussNewton, StallsGracefullyOnHardProblem) {
-  ResidualProblem p;
-  p.num_parameters = 2;
-  p.num_residuals = 2;
-  p.residuals = [](const num::Vector& x) {
-    return num::Vector{10.0 * (x[1] - x[0] * x[0]), 1.0 - x[0]};
-  };
-  const OptimizeResult r = gauss_newton(p, {-1.2, 1.0});
-  // No assertion on the minimum: undamped GN may stall, but must not blow up.
-  EXPECT_TRUE(std::isfinite(r.cost));
-}
-
 TEST(StopReason, ToStringCoversAllValues) {
   EXPECT_STREQ(to_string(StopReason::kConverged), "converged");
   EXPECT_STREQ(to_string(StopReason::kMaxIterations), "max-iterations");

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 namespace prm::num {
 namespace {
@@ -10,6 +12,16 @@ namespace {
 Matrix spd3() {
   // A = B^T B + I for B full rank -> SPD.
   return Matrix{{4.0, 1.0, 0.5}, {1.0, 3.0, 0.25}, {0.5, 0.25, 2.0}};
+}
+
+// Solve the SPD system A x = b through the hot-path Cholesky forms.
+std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
+  Matrix l;
+  if (!cholesky_into(a, &l)) return std::nullopt;
+  Vector y;
+  Vector x;
+  cholesky_solve_into(l, b, &y, &x);
+  return x;
 }
 
 TEST(Cholesky, FactorsAndSolvesSpdSystem) {
@@ -23,22 +35,28 @@ TEST(Cholesky, FactorsAndSolvesSpdSystem) {
 
 TEST(Cholesky, FactorReconstructsMatrix) {
   const Matrix a = spd3();
-  const CholeskyResult f = cholesky(a);
-  ASSERT_TRUE(f.ok);
-  const Matrix recon = f.l * f.l.transposed();
+  Matrix l;
+  ASSERT_TRUE(cholesky_into(a, &l));
+  // Only the lower triangle of the factor is defined.
   for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(recon(r, c), a(r, c), 1e-12);
+    for (std::size_t c = 0; c < 3; ++c) {
+      double llt = 0.0;
+      for (std::size_t k = 0; k <= std::min(r, c); ++k) llt += l(r, k) * l(c, k);
+      EXPECT_NEAR(llt, a(r, c), 1e-12);
+    }
   }
 }
 
 TEST(Cholesky, RejectsIndefiniteMatrix) {
   const Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  EXPECT_FALSE(cholesky(a).ok);
+  Matrix l;
+  EXPECT_FALSE(cholesky_into(a, &l));
   EXPECT_FALSE(solve_spd(a, {1.0, 1.0}).has_value());
 }
 
 TEST(Cholesky, RejectsNonSquare) {
-  EXPECT_THROW(cholesky(Matrix(2, 3)), std::invalid_argument);
+  Matrix l;
+  EXPECT_THROW(cholesky_into(Matrix(2, 3), &l), std::invalid_argument);
 }
 
 TEST(Qr, SolvesOverdeterminedLeastSquaresExactly) {
@@ -87,14 +105,15 @@ TEST(Qr, RejectsUnderdetermined) {
 TEST(Lu, SolvesGeneralSquareSystem) {
   const Matrix a{{0.0, 2.0, 1.0}, {1.0, -2.0, -3.0}, {-1.0, 1.0, 2.0}};
   const Vector x_true{2.0, -1.0, 3.0};
-  const auto x = solve(a, a * x_true);
-  ASSERT_TRUE(x.has_value());
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR((*x)[i], x_true[i], 1e-12);
+  const LuResult f = lu_decompose(a);
+  ASSERT_FALSE(f.singular);
+  const Vector x = lu_solve(f, a * x_true);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-12);
 }
 
 TEST(Lu, DetectsSingular) {
   const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_FALSE(solve(a, {1.0, 1.0}).has_value());
+  EXPECT_TRUE(lu_decompose(a).singular);
   EXPECT_FALSE(inverse(a).has_value());
   EXPECT_DOUBLE_EQ(determinant(a), 0.0);
 }

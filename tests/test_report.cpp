@@ -2,9 +2,8 @@
 
 #include <sstream>
 
-#include "core/analysis.hpp"
+#include "data/time_series.hpp"
 #include "report/ascii_plot.hpp"
-#include "report/series_csv.hpp"
 #include "report/table.hpp"
 
 namespace prm::report {
@@ -108,33 +107,6 @@ TEST(AsciiPlot, RejectsTinyCanvas) {
 TEST(AsciiPlot, EmptyPlotDoesNotCrash) {
   AsciiPlot plot(40, 10);
   EXPECT_NE(plot.to_string().find("empty"), std::string::npos);
-}
-
-TEST(SeriesCsv, WritesAlignedColumns) {
-  std::ostringstream out;
-  write_columns(out, {0.0, 1.0}, {{"a", {1.0, 2.0}}, {"b", {3.0, 4.0}}});
-  const std::string s = out.str();
-  EXPECT_NE(s.find("t,a,b"), std::string::npos);
-  EXPECT_NE(s.find("1,2,4"), std::string::npos);
-}
-
-TEST(SeriesCsv, SizeMismatchThrows) {
-  std::ostringstream out;
-  EXPECT_THROW(write_columns(out, {0.0, 1.0}, {{"a", {1.0}}}), std::invalid_argument);
-}
-
-TEST(SeriesCsv, FigureCsvHasFourDataColumns) {
-  const auto r = prm::core::analyze("quadratic", data::recession("1990-93"));
-  std::ostringstream out;
-  write_figure_csv(out, r.fit, r.validation);
-  std::istringstream in(out.str());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "t,observed,model,ci_lower,ci_upper");
-  std::size_t rows = 0;
-  std::string line;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 48u);
 }
 
 }  // namespace

@@ -95,32 +95,5 @@ TEST(GammaP, Domain) {
   EXPECT_THROW(gamma_p(1.0, -1.0), std::domain_error);
 }
 
-TEST(GammaPInv, RoundTrip) {
-  for (double a : {0.5, 1.0, 2.0, 7.5}) {
-    for (double p : {0.01, 0.25, 0.5, 0.9, 0.999}) {
-      const double x = gamma_p_inv(a, p);
-      EXPECT_NEAR(gamma_p(a, x), p, 1e-9) << "a=" << a << " p=" << p;
-    }
-  }
-  EXPECT_DOUBLE_EQ(gamma_p_inv(2.0, 0.0), 0.0);
-  EXPECT_THROW(gamma_p_inv(2.0, 1.0), std::domain_error);
-}
-
-TEST(LogBeta, MatchesGammaIdentity) {
-  EXPECT_NEAR(log_beta(2.0, 3.0), std::log(1.0 / 12.0), 1e-12);  // B(2,3)=1/12
-  EXPECT_NEAR(log_beta(0.5, 0.5), std::log(M_PI), 1e-12);        // B(.5,.5)=pi
-  EXPECT_THROW(log_beta(0.0, 1.0), std::domain_error);
-}
-
-TEST(BetaInc, KnownValuesAndSymmetry) {
-  // I_x(1, 1) = x.
-  for (double x : {0.1, 0.5, 0.9}) EXPECT_NEAR(beta_inc(1.0, 1.0, x), x, 1e-12);
-  // Symmetry I_x(a,b) = 1 - I_{1-x}(b,a).
-  EXPECT_NEAR(beta_inc(2.0, 5.0, 0.3), 1.0 - beta_inc(5.0, 2.0, 0.7), 1e-12);
-  EXPECT_DOUBLE_EQ(beta_inc(2.0, 3.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(beta_inc(2.0, 3.0, 1.0), 1.0);
-  EXPECT_THROW(beta_inc(2.0, 3.0, 1.5), std::domain_error);
-}
-
 }  // namespace
 }  // namespace prm::num
