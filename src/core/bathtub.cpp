@@ -8,6 +8,7 @@
 #include "numerics/linalg.hpp"
 #include "numerics/polynomial.hpp"
 #include "numerics/simd.hpp"
+#include "optimize/multistart.hpp"
 
 namespace prm::core {
 
@@ -235,6 +236,15 @@ std::optional<double> QuadraticBathtubModel::trough_closed_form(const num::Vecto
   const double t = -p[1] / (2.0 * p[2]);
   if (t < 0.0) return 0.0;
   return t;
+}
+
+void QuadraticBathtubModel::tune_multistart(opt::MultistartOptions& options) const {
+  // The bound transforms are monotone per coordinate, so they add no
+  // stationary points to the convex SSE (Eq. 1 is linear in the parameters):
+  // LM from the projected exact LS guess reaches its one minimum.
+  options.sampled_starts = 0;
+  options.jitter_per_start = 0;
+  options.polish_with_nelder_mead = false;
 }
 
 bool QuadraticBathtubModel::is_bathtub(const num::Vector& p) {

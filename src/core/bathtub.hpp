@@ -54,6 +54,11 @@ class QuadraticBathtubModel final : public ResilienceModel {
                                                   double after) const override;
   std::optional<double> trough_closed_form(const num::Vector& params) const override;
 
+  /// The guesses suffice: the first one is the exact linear least-squares
+  /// fit, and the SSE is convex over the sign region, so no jittered or
+  /// sampled start and no polish can reach a lower minimum.
+  void tune_multistart(opt::MultistartOptions& options) const override;
+
   std::unique_ptr<ResilienceModel> clone() const override {
     return std::make_unique<QuadraticBathtubModel>(*this);
   }

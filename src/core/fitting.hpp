@@ -3,8 +3,9 @@
 // fit_model() estimates a model's parameters from the first n - holdout
 // samples of a series by minimizing sum_i (R(t_i) - P(t_i; theta))^2. The
 // solver works in an unconstrained internal coordinate system (see
-// optimize/transforms.hpp) and runs multistart Levenberg-Marquardt with a
-// Nelder-Mead polish, seeded by the model's own data-driven initial guesses.
+// optimize/transforms.hpp) and runs multistart Levenberg-Marquardt, seeded by
+// the model's own data-driven initial guesses, with a Nelder-Mead polish of
+// the multistart winner.
 #pragma once
 
 #include <limits>

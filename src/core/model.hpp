@@ -83,9 +83,11 @@ class ResilienceModel {
   virtual std::optional<double> trough_closed_form(const num::Vector& params) const;
 
   /// Hook for models whose initial_guesses() embed their own exploration
-  /// (e.g. the nn family's Adam multistart): fit_model() passes its solver
-  /// options through this before running, so such a model can cap the
-  /// generic sampled/jittered start budget. Default: leave them unchanged.
+  /// (e.g. the nn family's Adam multistart) or provably suffice (the
+  /// quadratic, whose first guess is its exact linear least-squares fit):
+  /// fit_model() passes its solver options through this before running, so
+  /// such a model can cap the generic sampled/jittered start budget and the
+  /// polish of the multistart winner. Default: leave them unchanged.
   /// Models must not touch the warm-start or threading fields.
   virtual void tune_multistart(opt::MultistartOptions& options) const;
 

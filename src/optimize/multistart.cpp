@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "par/parallel.hpp"
 
@@ -107,21 +109,7 @@ MultistartResult multistart_least_squares(const ResidualProblem& problem,
   std::vector<OptimizeResult> results = par::parallel_map<OptimizeResult>(
       all.size(),
       [&problem, &options, &all](std::size_t i) {
-        OptimizeResult r = levenberg_marquardt(problem, all[i], options.lm);
-        if (std::isfinite(r.cost) && options.polish_with_nelder_mead && r.usable()) {
-          NelderMeadOptions nm = options.nm;
-          nm.initial_step = 0.02;
-          OptimizeResult polished =
-              nelder_mead_least_squares(problem, r.parameters, nm);
-          if (std::isfinite(polished.cost) && polished.cost < r.cost) {
-            polished.function_evaluations += r.function_evaluations;
-            polished.iterations += r.iterations;
-            r = polished;
-            // A Nelder-Mead improvement still counts as a converged LS fit
-            // when it met its own tolerances.
-          }
-        }
-        return r;
+        return levenberg_marquardt(problem, all[i], options.lm);
       },
       options.threads);
 
@@ -137,6 +125,20 @@ MultistartResult multistart_least_squares(const ResidualProblem& problem,
       continue;
     }
     if (r.cost < out.best.cost) out.best = r;
+  }
+
+  // Polish the winner only, on the caller after the fixed-order reduction,
+  // so the polished result is also the same at any thread count.
+  if (options.polish_with_nelder_mead && std::isfinite(out.best.cost) &&
+      out.best.usable()) {
+    NelderMeadOptions nm = options.nm;
+    nm.initial_step = 0.02;
+    OptimizeResult polished = nelder_mead_least_squares(problem, out.best.parameters, nm);
+    if (std::isfinite(polished.cost) && polished.cost < out.best.cost) {
+      polished.function_evaluations += out.best.function_evaluations;
+      polished.iterations += out.best.iterations;
+      out.best = std::move(polished);
+    }
   }
   return out;
 }

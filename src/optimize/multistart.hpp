@@ -1,5 +1,6 @@
-// Multistart driver: run Levenberg-Marquardt (with optional Nelder-Mead
-// polish) from several starting points and keep the best finisher.
+// Multistart driver: run Levenberg-Marquardt from several starting points,
+// keep the best finisher, then (optionally) run a Nelder-Mead polish of the
+// multistart winner.
 //
 // Nonlinear resilience fits have narrow basins — especially the mixture
 // families, whose recovery-trend coefficient trades off against the Weibull
@@ -26,6 +27,9 @@ struct MultistartOptions {
   double jitter_rel = 0.25;  ///< Relative jitter magnitude.
   std::uint64_t seed = 0x5eedf17u;
   LmOptions lm;
+  /// Nelder-Mead polish of the multistart winner: one run from the best LM
+  /// finisher, kept only when it lowers the cost. The polish runs once per
+  /// fit, after the index-order reduction, never once per start.
   bool polish_with_nelder_mead = true;
   NelderMeadOptions nm;
 

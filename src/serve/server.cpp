@@ -20,11 +20,6 @@ namespace prm::serve {
 
 namespace {
 
-/// How long an idle worker sleeps between steal scans. Short enough that a
-/// job dealt to a busy neighbor is picked up promptly even if the targeted
-/// notify raced past the scan.
-constexpr auto kStealPollInterval = std::chrono::milliseconds(5);
-
 /// Read-ahead cap while a request is executing: pipelined bytes beyond this
 /// stay in the kernel until the response is written (read interest is
 /// dropped), bounding per-connection memory against a flooding client.
@@ -331,8 +326,12 @@ void Server::stop() {
 
   // Drain the workers: queued jobs still execute and post their responses to
   // the (still running) event loops, preserving the old drain-then-exit
-  // shutdown contract.
-  for (auto& queue : queues_) queue->cv.notify_all();
+  // shutdown contract. Notifying under the mutex means a worker between its
+  // predicate check and its wait cannot miss the wakeup.
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    idle_cv_.notify_all();
+  }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -940,8 +939,14 @@ bool Server::push_job(Job&& job) {
       if (queue.pending.size() >= queue.capacity) continue;
       queue.pending.push_back(std::move(job));
     }
-    jobs_queued_.fetch_add(1, std::memory_order_relaxed);
-    queue.cv.notify_one();
+    {
+      std::lock_guard<std::mutex> lock(idle_mutex_);
+      jobs_queued_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Notify after unlocking: a worker woken under the lock would block at
+    // once on idle_mutex_, costing two more context switches per job when it
+    // shares a core with this loop.
+    idle_cv_.notify_one();
     return true;
   }
   return false;  // every queue full -> 503 at the hand-off
@@ -961,7 +966,6 @@ bool Server::try_pop(std::size_t queue_index, Job& job) {
 
 bool Server::pop_job(std::size_t worker_index, Job& job) {
   const std::size_t n = queues_.size();
-  WorkerQueue& own = *queues_[worker_index];
   while (true) {
     // Own queue first, then a steal scan over the neighbors so work dealt to
     // a busy worker cannot sit while this one idles.
@@ -969,12 +973,13 @@ bool Server::pop_job(std::size_t worker_index, Job& job) {
       if (try_pop((worker_index + offset) % n, job)) return true;
     }
     if (stopping_.load()) return false;
-    std::unique_lock<std::mutex> lock(own.mutex);
-    if (!own.pending.empty()) continue;  // raced with a push
-    // Timed wait: a notify targets the queue's owner, but stolen work and
-    // shutdown may arrive without one, so re-scan at a short cadence.
-    own.cv.wait_for(lock, kStealPollInterval,
-                    [this, &own] { return stopping_.load() || !own.pending.empty(); });
+    // Every idle worker sleeps on one condition, so any push can wake any of
+    // them. push_job raises the count and stop() notifies under idle_mutex_,
+    // so no wakeup is lost and no timeout is needed.
+    std::unique_lock<std::mutex> lock(idle_mutex_);
+    idle_cv_.wait(lock, [this] {
+      return stopping_.load() || jobs_queued_.load(std::memory_order_relaxed) > 0;
+    });
   }
 }
 

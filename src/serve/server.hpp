@@ -188,7 +188,6 @@ class Server {
   /// vector of queues is constructible despite the mutex member.
   struct WorkerQueue {
     std::mutex mutex;
-    std::condition_variable cv;
     std::deque<Job> pending;
     std::size_t capacity = 1;
   };
@@ -242,6 +241,9 @@ class Server {
   std::vector<std::unique_ptr<WorkerQueue>> queues_;  ///< One per worker.
   std::atomic<std::size_t> next_queue_{0};  ///< Round-robin cursor (any loop thread).
   std::atomic<std::size_t> jobs_queued_{0};  ///< Jobs waiting, summed over queues.
+  /// Idle workers wait on idle_cv_ for `stopping_ || jobs_queued_ > 0`.
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
 
   /// EMA of handler+serialize micros, gating the inline fast path. Starts at
   /// "unset" (= never inline) so parked/slow handlers are discovered on the

@@ -22,6 +22,14 @@ data::PerformanceSeries exact_quadratic_series(std::size_t n) {
   return data::PerformanceSeries("exact-quad", std::move(v));
 }
 
+data::PerformanceSeries exact_competing_risks_series(std::size_t n) {
+  const CompetingRisksModel m;
+  const num::Vector truth{1.0, 0.2, 0.0008};
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = m.evaluate(static_cast<double>(i), truth);
+  return data::PerformanceSeries("exact-cr", std::move(v));
+}
+
 TEST(FitModel, RecoversExactQuadraticData) {
   const QuadraticBathtubModel m;
   const FitResult fit = fit_model(m, exact_quadratic_series(40), 4);
@@ -189,18 +197,20 @@ TEST(FitModel, WeightValidation) {
 TEST(FitModel, WarmStartRefitMatchesColdFitAtAFractionOfTheWork) {
   // Cold fit on the first 30 samples, then a warm refit on the full series
   // seeded from the cold parameters: the incremental path live::Monitor uses.
-  const data::PerformanceSeries series = exact_quadratic_series(40);
-  const FitResult cold = fit_model("quadratic", series.head(30), 0);
+  // Competing risks, because the quadratic's cold fit already runs only its
+  // two exact guesses and so leaves the warm path nothing to save.
+  const data::PerformanceSeries series = exact_competing_risks_series(40);
+  const FitResult cold = fit_model("competing-risks", series.head(30), 0);
   ASSERT_TRUE(cold.success());
 
   FitOptions warm_opts;
   warm_opts.warm_start = cold.parameters();
-  const FitResult warm = fit_model("quadratic", series, 0, warm_opts);
+  const FitResult warm = fit_model("competing-risks", series, 0, warm_opts);
   EXPECT_TRUE(warm.success());
   EXPECT_LT(warm.sse, 1e-10);
   EXPECT_NEAR(warm.parameters()[0], 1.0, 1e-3);
 
-  const FitResult cold_full = fit_model("quadratic", series, 0);
+  const FitResult cold_full = fit_model("competing-risks", series, 0);
   EXPECT_LT(warm.starts_tried, cold_full.starts_tried);
   EXPECT_NEAR(warm.sse, cold_full.sse, 1e-8);
 }

@@ -304,5 +304,43 @@ TEST(Multistart, ParallelKnobDoesNotChangeTheWinner) {
   }
 }
 
+TEST(Multistart, PolishRunsOnceOnTheLmWinner) {
+  // With the polish on, the result is exactly a polish-off multistart whose
+  // winner then gets one Nelder-Mead polish (the driver's 0.02 initial
+  // step), at every thread count. LM and the polish are both capped short of
+  // convergence, so a polish of a losing start would land somewhere else.
+  ResidualProblem problem;
+  problem.num_parameters = 2;
+  problem.num_residuals = 2;
+  problem.residuals = [](const num::Vector& p) {
+    return num::Vector{10.0 * (p[1] - p[0] * p[0]), 1.0 - p[0]};
+  };
+  for (const int threads : {1, 4}) {
+    MultistartOptions polished;
+    polished.sampled_starts = 6;
+    polished.lm.max_iterations = 2;
+    polished.nm.max_iterations = 40;
+    polished.threads = threads;
+    MultistartOptions lm_only = polished;
+    lm_only.polish_with_nelder_mead = false;
+    const auto got = multistart_least_squares(problem, {{-1.5, 2.0}}, {-3.0, -3.0},
+                                              {3.0, 3.0}, polished);
+    const auto winner = multistart_least_squares(problem, {{-1.5, 2.0}}, {-3.0, -3.0},
+                                                 {3.0, 3.0}, lm_only);
+
+    NelderMeadOptions nm = polished.nm;
+    nm.initial_step = 0.02;
+    const OptimizeResult polish =
+        nelder_mead_least_squares(problem, winner.best.parameters, nm);
+    ASSERT_LT(polish.cost, winner.best.cost) << "threads = " << threads;
+    EXPECT_EQ(got.best.parameters, polish.parameters) << "threads = " << threads;
+    EXPECT_EQ(got.best.cost, polish.cost);
+    EXPECT_EQ(got.best.function_evaluations,
+              polish.function_evaluations + winner.best.function_evaluations);
+    EXPECT_EQ(got.best.iterations, polish.iterations + winner.best.iterations);
+    EXPECT_EQ(got.starts_tried, winner.starts_tried);
+  }
+}
+
 }  // namespace
 }  // namespace prm::opt

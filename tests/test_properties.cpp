@@ -27,6 +27,12 @@ struct ScenarioCase {
   std::uint64_t seed;
 };
 
+// Without this, gtest prints the raw object bytes, padding included, and the
+// discovered ctest names change from build to build.
+void PrintTo(const ScenarioCase& c, std::ostream* os) {
+  *os << data::to_string(c.shape) << "_seed" << c.seed;
+}
+
 class FitOverScenarios : public ::testing::TestWithParam<ScenarioCase> {};
 
 TEST_P(FitOverScenarios, EasyShapesFitWellHardShapesDoNot) {
@@ -322,6 +328,51 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredModels, ExactRecovery,
                            }
                            return n;
                          });
+
+// ---- Quadratic: the two exact guesses reach the one minimum ---------------
+//
+// Eq. 1 is linear in (alpha, beta, gamma), so the SSE is convex and its
+// unconstrained minimum is the linear least-squares solution. Wherever that
+// solution has the bathtub signs, the fit must reach its SSE from the
+// model's two guesses alone.
+
+TEST(QuadraticFit, TwoGuessesReachTheLinearLeastSquaresMinimum) {
+  const QuadraticBathtubModel model;
+  std::mt19937_64 rng(2022);
+  std::uniform_int_distribution<std::size_t> length(24, 240);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const data::RecessionShape shapes[] = {data::RecessionShape::kV, data::RecessionShape::kU,
+                                         data::RecessionShape::kW, data::RecessionShape::kL};
+  int in_sign_region = 0;
+  for (int i = 0; i < 64; ++i) {
+    data::ScenarioSpec spec;
+    spec.shape = shapes[i % 4];
+    spec.length = length(rng);
+    spec.depth = 0.01 + 0.14 * unit(rng);
+    spec.trough_at = 0.05 + 0.4 * unit(rng);
+    spec.recovery_gain = spec.shape == data::RecessionShape::kL ? 0.0 : 0.06 * unit(rng);
+    spec.noise = 0.003 * unit(rng);
+    spec.seed = rng();
+    const data::PerformanceSeries series = data::generate_scenario(spec);
+    SCOPED_TRACE("window " + std::to_string(i) + ", " + std::to_string(spec.length) +
+                 " samples");
+
+    const FitResult fit = fit_model(model, series, 0);
+    EXPECT_EQ(fit.starts_tried, 2);
+
+    const num::Vector ls = QuadraticBathtubModel::linear_ls_fit(series);
+    if (!(ls[0] > 0.0 && ls[1] < 0.0 && ls[2] > 0.0)) continue;
+    ++in_sign_region;
+    double ls_sse = 0.0;
+    for (std::size_t k = 0; k < series.size(); ++k) {
+      const double e = series.value(k) - model.evaluate(series.time(k), ls);
+      ls_sse += e * e;
+    }
+    EXPECT_NEAR(fit.sse, ls_sse, 1e-12 * ls_sse);
+  }
+  // The SSE check must not be vacuous.
+  EXPECT_GE(in_sign_region, 32);
+}
 
 // ---- Failure injection: fitting must degrade gracefully ------------------
 

@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -332,6 +333,25 @@ TEST(Server, StartupStatsReportThreadCount) {
   EXPECT_EQ(server.stats().threads, 3u);
   EXPECT_EQ(server.stats().event_threads, 2u);
   EXPECT_EQ(server.stats().loop_connections.size(), 2u);
+  server.stop();
+}
+
+TEST(Server, IdleWorkersSleepUntilWorkArrives) {
+  // An idle server must not poll: its workers block until a job is pushed.
+  // A 5 ms poll across 4 workers would be about 240 voluntary switches here.
+  Server server(ServerOptions{}, echo_handler);
+  server.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // threads settle
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_nvcsw - before.ru_nvcsw, 20);
+
+  // ...and still wakes for the next request.
+  http::Client client("127.0.0.1", server.port());
+  EXPECT_EQ(client.get("/x").status, 200);
   server.stop();
 }
 
