@@ -126,8 +126,8 @@ void BM_NormalQuantile(benchmark::State& state) {
 BENCHMARK(BM_NormalQuantile);
 
 void BM_RefitCold(benchmark::State& state) {
-  // The batch path live::Monitor would pay without warm-starting: a full
-  // multistart fit from scratch on each refit.
+  // A refit from scratch: for competing-risks under the plain SSE, LM from
+  // the one variable-projection start (DESIGN.md section 10.5).
   const auto& ds = data::recession("1990-93");
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::fit_model("competing-risks", ds.series, 0));
@@ -136,9 +136,11 @@ void BM_RefitCold(benchmark::State& state) {
 BENCHMARK(BM_RefitCold)->Unit(benchmark::kMillisecond);
 
 void BM_RefitWarm(benchmark::State& state) {
-  // The incremental path: seed the refit with the previous optimum. The
-  // warm seed replaces the whole Latin-hypercube start set, so the ratio
-  // to BM_RefitCold is the wall-clock saving per background refit.
+  // A refit seeded with the previous optimum, as live::Monitor passes it.
+  // Competing-risks declines the seed under the plain SSE, because its cold
+  // start is exact and cheaper than LM from the seed plus a jittered copy,
+  // so this times the same path as BM_RefitCold; a model or policy change
+  // that brings the warm path back shows up as a gap between the two.
   const auto& ds = data::recession("1990-93");
   const auto cold = core::fit_model("competing-risks", ds.series, 0);
   core::FitOptions opts;

@@ -1,5 +1,6 @@
 #include "core/bathtub.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <stdexcept>
@@ -8,6 +9,7 @@
 #include "numerics/linalg.hpp"
 #include "numerics/polynomial.hpp"
 #include "numerics/simd.hpp"
+#include "optimize/golden_section.hpp"
 #include "optimize/multistart.hpp"
 
 namespace prm::core {
@@ -116,6 +118,86 @@ void competing_risks_grad_kernel(std::span<const double> t, const double* p,
     emit(Pack::load(pad_t), i, t.size() - i);
   }
 }
+
+// Least-squares fit of the competing-risks curve by variable projection
+// (Golub & Pereyra 1973). The curve is linear in alpha and gamma, so for each
+// beta they are solved exactly with alpha, gamma >= 0 (the 2x2 normal
+// equations, or the better one-column fit when a sign is violated); beta is
+// found by a log-spaced scan of beta * t_max over [1e-4, 1e4] refined by
+// golden section, or is the beta -> 0 limit when that fits better. Returns
+// [alpha, beta, gamma], each possibly 0.
+num::Vector competing_risks_variable_projection(const data::PerformanceSeries& fit) {
+  const std::span<const double> t = fit.times();
+  const std::span<const double> y = fit.values();
+  // The beta-free sums of the normal equations (the gamma column is 2t).
+  double gg = 0.0;
+  double gy = 0.0;
+  double t_min = 0.0;
+  double t_span = 0.0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    gg += (2.0 * t[i]) * (2.0 * t[i]);
+    gy += (2.0 * t[i]) * y[i];
+    t_min = std::min(t_min, t[i]);
+    t_span = std::max(t_span, std::fabs(t[i]));
+  }
+  t_span = std::max(t_span, 1e-12);
+
+  struct Linear {
+    double alpha = 0.0;
+    double gamma = 0.0;
+    double sse = 0.0;
+  };
+  // Exact non-negative least squares for (alpha, gamma) at a fixed beta. The
+  // SSE is summed from the residuals: the expanded normal-equation form
+  // cancels to noise near an exact fit.
+  std::vector<double> f(t.size());
+  const auto solve = [&](double beta) {
+    double ff = 0.0;
+    double fg = 0.0;
+    double fy = 0.0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      f[i] = 1.0 / (1.0 + beta * t[i]);
+      ff += f[i] * f[i];
+      fg += f[i] * (2.0 * t[i]);
+      fy += f[i] * y[i];
+    }
+    const double det = ff * gg - fg * fg;
+    double a = det > 0.0 ? (fy * gg - gy * fg) / det : -1.0;
+    double c = det > 0.0 ? (ff * gy - fg * fy) / det : -1.0;
+    if (!(a >= 0.0 && c >= 0.0)) {
+      // A sign is violated, so the optimum lies on a face of the orthant:
+      // the one-column fit that lowers the SSE more (by a * fy or c * gy).
+      a = std::max(fy / ff, 0.0);
+      c = gg > 0.0 ? std::max(gy / gg, 0.0) : 0.0;
+      if (c * gy > a * fy) {
+        a = 0.0;
+      } else {
+        c = 0.0;
+      }
+    }
+    double sse = 0.0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      const double r = y[i] - a * f[i] - c * (2.0 * t[i]);
+      sse += r * r;
+    }
+    return Linear{a, c, sse};
+  };
+
+  // Profile SSE over log(beta), with beta * t_max in [1e-4, 1e4]; negative
+  // times cap beta so that 1 + beta t stays >= 0.5 across the window.
+  const double lo = std::log(1e-4 / t_span);
+  double hi = std::log(1e4 / t_span);
+  if (t_min < 0.0) hi = std::max(lo, std::min(hi, std::log(0.5 / -t_min)));
+  const opt::GoldenResult best = opt::scan_then_golden(
+      [&solve](double log_beta) { return solve(std::exp(log_beta)).sse; }, lo, hi,
+      /*samples=*/33, /*x_tol=*/1e-8);
+  // The scan stops short of beta -> 0, where the curve becomes the line
+  // alpha + 2 gamma t; that limit is the optimum of some windows.
+  const double beta = solve(0.0).sse < best.fx ? 0.0 : std::exp(best.x);
+  const Linear linear = solve(beta);
+  return {linear.alpha, beta, linear.gamma};
+}
+
 }  // namespace
 
 // --- QuadraticBathtubModel ----------------------------------------------
@@ -238,10 +320,13 @@ std::optional<double> QuadraticBathtubModel::trough_closed_form(const num::Vecto
   return t;
 }
 
-void QuadraticBathtubModel::tune_multistart(opt::MultistartOptions& options) const {
+void QuadraticBathtubModel::tune_multistart(opt::MultistartOptions& options,
+                                            const FitObjective& objective) const {
   // The bound transforms are monotone per coordinate, so they add no
-  // stationary points to the convex SSE (Eq. 1 is linear in the parameters):
-  // LM from the projected exact LS guess reaches its one minimum.
+  // stationary points to a convex objective (Eq. 1 is linear in the
+  // parameters): LM from the projected exact LS guess reaches its one
+  // minimum. Cauchy's redescending loss is not convex and has several.
+  if (!objective.convex_loss) return;
   options.sampled_starts = 0;
   options.jitter_per_start = 0;
   options.polish_with_nelder_mead = false;
@@ -294,37 +379,12 @@ void CompetingRisksModel::gradient_batch(std::span<const double> t, const num::V
 
 std::vector<num::Vector> CompetingRisksModel::initial_guesses(
     const data::PerformanceSeries& fit) const {
-  std::vector<num::Vector> guesses;
-  const double v0 = std::max(fit.value(0), 1e-6);
-  const double td = std::max(fit.trough_time(), 1.0);
-  const double vmin = fit.trough_value();
-  const double tn = std::max(fit.times().back(), 2.0);
-  const double vn = fit.values().back();
-
-  // Late slope approximates 2*gamma once the decreasing term has decayed.
-  const double late_slope = (vn - vmin) / std::max(tn - td, 1.0);
-  const double gamma0 = std::max(0.5 * late_slope, 1e-8);
-
-  // Trough condition: (1 + beta td)^2 = alpha beta / (2 gamma). With
-  // alpha ~ v0, solve the resulting quadratic for beta numerically via a
-  // coarse scan; fall back to 2/td (the trough near td for moderate decay).
-  double beta0 = 2.0 / td;
-  double best = std::numeric_limits<double>::infinity();
-  for (int k = 1; k <= 400; ++k) {
-    const double b = 0.005 * k;  // scan (0, 2]
-    const double u = 1.0 + b * td;
-    const double mismatch = std::fabs(u * u - v0 * b / (2.0 * gamma0));
-    if (mismatch < best) {
-      best = mismatch;
-      beta0 = b;
-    }
+  num::Vector p = competing_risks_variable_projection(fit);
+  // Clip into the positive bounds, as fit_model does.
+  for (double& x : p) {
+    if (!(x >= 1e-12)) x = 1e-12;
   }
-  guesses.push_back({v0, beta0, gamma0});
-
-  // A softer-decay alternative: trough value match, alpha/(1+beta td) ~ vmin.
-  const double beta1 = std::max((v0 / std::max(vmin, 1e-6) - 1.0) / td, 1e-6);
-  guesses.push_back({v0, beta1, gamma0});
-  return guesses;
+  return {p};
 }
 
 std::pair<num::Vector, num::Vector> CompetingRisksModel::search_box(
@@ -365,6 +425,15 @@ std::optional<double> CompetingRisksModel::trough_closed_form(const num::Vector&
   const double rhs = p[0] * p[1] / (2.0 * p[2]);
   if (rhs <= 1.0) return 0.0;  // monotone increasing from t = 0
   return (std::sqrt(rhs) - 1.0) / p[1];
+}
+
+void CompetingRisksModel::tune_multistart(opt::MultistartOptions& options,
+                                          const FitObjective& objective) const {
+  if (!objective.plain_sse) return;
+  options.sampled_starts = 0;
+  options.jitter_per_start = 0;
+  options.polish_with_nelder_mead = false;
+  options.warm_start.clear();
 }
 
 }  // namespace prm::core

@@ -54,10 +54,13 @@ class QuadraticBathtubModel final : public ResilienceModel {
                                                   double after) const override;
   std::optional<double> trough_closed_form(const num::Vector& params) const override;
 
-  /// The guesses suffice: the first one is the exact linear least-squares
-  /// fit, and the SSE is convex over the sign region, so no jittered or
-  /// sampled start and no polish can reach a lower minimum.
-  void tune_multistart(opt::MultistartOptions& options) const override;
+  /// Under a convex loss (squared or Huber, weighted or not) the guesses
+  /// suffice: the first one is the exact linear least-squares fit, and the
+  /// objective is convex over the sign region, so no jittered or sampled
+  /// start and no polish can reach a lower minimum. Cauchy keeps the full
+  /// start set.
+  void tune_multistart(opt::MultistartOptions& options,
+                       const FitObjective& objective) const override;
 
   std::unique_ptr<ResilienceModel> clone() const override {
     return std::make_unique<QuadraticBathtubModel>(*this);
@@ -96,6 +99,10 @@ class CompetingRisksModel final : public ResilienceModel {
   void gradient_batch(std::span<const double> t, const num::Vector& params,
                       num::Matrix* out) const override;
 
+  /// One guess: the least-squares optimum by variable projection (Golub &
+  /// Pereyra 1973), clipped into the positive bounds. The curve is linear in
+  /// alpha and gamma, so they are solved exactly (alpha, gamma >= 0) at each
+  /// beta of a log-spaced scan refined by golden section.
   std::vector<num::Vector> initial_guesses(
       const data::PerformanceSeries& fit_window) const override;
   std::pair<num::Vector, num::Vector> search_box(
@@ -106,6 +113,15 @@ class CompetingRisksModel final : public ResilienceModel {
   std::optional<double> recovery_time_closed_form(const num::Vector& params, double level,
                                                   double after) const override;
   std::optional<double> trough_closed_form(const num::Vector& params) const override;
+
+  /// For the plain unweighted SSE the guess is the least-squares optimum, so
+  /// LM runs from it alone: no jittered or sampled start, no polish, and no
+  /// warm start either (a refit is then its window's cold fit, which costs
+  /// less than LM from the previous solution and its jittered copy, and
+  /// cannot land on a seed parked at a bound). Robust losses and weights
+  /// move the optimum away from the guess and keep the full start set.
+  void tune_multistart(opt::MultistartOptions& options,
+                       const FitObjective& objective) const override;
 
   std::unique_ptr<ResilienceModel> clone() const override {
     return std::make_unique<CompetingRisksModel>(*this);

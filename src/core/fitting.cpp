@@ -158,25 +158,29 @@ FitResult fit_model(const ResilienceModel& model, const data::PerformanceSeries&
     return p;
   };
 
-  // Starting points: model guesses mapped to internal space. On the warm
-  // path the multistart driver ignores the regular start set entirely, so
-  // skip generating it — initial_guesses() can be expensive (the nn family
-  // trains networks in there), and live refits take this branch constantly.
-  std::vector<num::Vector> starts;
-  if (!options.warm_start) {
-    for (const num::Vector& g : model.initial_guesses(fit_window)) {
-      starts.push_back(transform.to_internal(clip_into_bounds(g)));
-    }
-  }
-
-  // Warm start (previous solution) mapped the same way.
+  // Warm start (previous solution) mapped to internal space, then the
+  // model's start policy for this objective, which may decline the seed.
   opt::MultistartOptions ms_options = options.multistart;
-  model.tune_multistart(ms_options);
   if (options.warm_start) {
     if (options.warm_start->size() != model.num_parameters()) {
       throw std::invalid_argument("fit_model: warm start size does not match the model");
     }
     ms_options.warm_start = transform.to_internal(clip_into_bounds(*options.warm_start));
+  }
+  FitObjective objective;
+  objective.plain_sse = options.loss == opt::LossKind::kSquared && options.weights.empty();
+  objective.convex_loss = options.loss != opt::LossKind::kCauchy;
+  model.tune_multistart(ms_options, objective);
+
+  // Starting points: model guesses mapped to internal space. On the warm
+  // path the multistart driver ignores the regular start set entirely, so
+  // skip generating it — initial_guesses() can be expensive (the nn family
+  // trains networks in there), and live refits take this branch constantly.
+  std::vector<num::Vector> starts;
+  if (ms_options.warm_start.empty()) {
+    for (const num::Vector& g : model.initial_guesses(fit_window)) {
+      starts.push_back(transform.to_internal(clip_into_bounds(g)));
+    }
   }
 
   // Search box corners mapped to internal space (the transforms are
@@ -215,7 +219,7 @@ FitResult fit_model(const ResilienceModel& model, const data::PerformanceSeries&
   result.stop_reason = ms.best.stop_reason;
   result.starts_tried = ms.starts_tried;
   result.iterations = ms.best.iterations;
-  result.function_evaluations = ms.best.function_evaluations;
+  result.function_evaluations = ms.function_evaluations;
   return result;
 }
 

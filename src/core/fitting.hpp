@@ -39,9 +39,11 @@ struct FitOptions {
   /// stream) assumed to be near the new optimum. When set, the solver runs
   /// only this seed (plus `multistart.warm_jitter` jittered copies and
   /// `multistart.warm_sampled_starts` safety starts) instead of the full
-  /// multistart -- the incremental-refit fast path used by prm::live.
-  /// Out-of-bounds components are clipped into the parameter bounds; throws
-  /// std::invalid_argument on a size mismatch.
+  /// multistart -- the incremental-refit fast path used by prm::live. A
+  /// model whose first guess is already the optimum may decline the seed
+  /// (ResilienceModel::tune_multistart; competing-risks does under the plain
+  /// SSE). Out-of-bounds components are clipped into the parameter bounds;
+  /// throws std::invalid_argument on a size mismatch.
   std::optional<num::Vector> warm_start;
 
   /// Use the model's analytic (dual-number) gradient for the LM Jacobian,
@@ -86,7 +88,8 @@ class FitResult {
   double sse = std::numeric_limits<double>::infinity();  ///< Over the fit window.
   opt::StopReason stop_reason = opt::StopReason::kNumericalFailure;
   int starts_tried = 0;
-  int iterations = 0;
+  int iterations = 0;  ///< The winning start's LM iterations (plus its polish).
+  /// Residual evaluations of the whole fit: every start plus the polish.
   int function_evaluations = 0;
 
   /// True when the fit produced finite parameters and cost.

@@ -59,7 +59,7 @@ std::optional<double> ResilienceModel::trough_closed_form(const num::Vector&) co
   return std::nullopt;
 }
 
-void ResilienceModel::tune_multistart(opt::MultistartOptions&) const {}
+void ResilienceModel::tune_multistart(opt::MultistartOptions&, const FitObjective&) const {}
 
 ModelRegistry& ModelRegistry::instance() {
   static ModelRegistry registry = [] {

@@ -22,6 +22,16 @@ struct MultistartOptions;
 
 namespace prm::core {
 
+/// What fit_model() minimizes, as far as a model's start policy needs to
+/// know (see ResilienceModel::tune_multistart).
+struct FitObjective {
+  /// The plain unweighted sum of squared errors of Eq. 8: squared loss and
+  /// no per-sample weights.
+  bool plain_sse = true;
+  /// The loss is convex in the residual: squared or Huber, not Cauchy.
+  bool convex_loss = true;
+};
+
 class ResilienceModel {
  public:
   virtual ~ResilienceModel() = default;
@@ -83,13 +93,18 @@ class ResilienceModel {
   virtual std::optional<double> trough_closed_form(const num::Vector& params) const;
 
   /// Hook for models whose initial_guesses() embed their own exploration
-  /// (e.g. the nn family's Adam multistart) or provably suffice (the
-  /// quadratic, whose first guess is its exact linear least-squares fit):
-  /// fit_model() passes its solver options through this before running, so
-  /// such a model can cap the generic sampled/jittered start budget and the
-  /// polish of the multistart winner. Default: leave them unchanged.
-  /// Models must not touch the warm-start or threading fields.
-  virtual void tune_multistart(opt::MultistartOptions& options) const;
+  /// (e.g. the nn family's Adam multistart) or provably suffice for the
+  /// objective being minimized (the quadratic's first guess is its exact
+  /// linear least-squares fit; competing-risks' is its variable-projection
+  /// optimum): fit_model() passes its solver options and the objective
+  /// through this before running, so such a model can cap the generic
+  /// sampled/jittered start budget and the polish of the multistart winner.
+  /// A model whose first guess is the optimum of the objective may also
+  /// clear `warm_start`, so that a refit runs the exact start instead of the
+  /// previous solution. Default: leave the options unchanged. Models must not
+  /// set the warm-start or touch the threading fields.
+  virtual void tune_multistart(opt::MultistartOptions& options,
+                               const FitObjective& objective) const;
 
   virtual std::unique_ptr<ResilienceModel> clone() const = 0;
 };

@@ -162,7 +162,8 @@ std::pair<num::Vector, num::Vector> NeuralModel::search_box(
   return {num::Vector(spec_.num_weights(), -3.0), num::Vector(spec_.num_weights(), 3.0)};
 }
 
-void NeuralModel::tune_multistart(opt::MultistartOptions& options) const {
+void NeuralModel::tune_multistart(opt::MultistartOptions& options,
+                                  const core::FitObjective&) const {
   // initial_guesses() already explored (Adam restarts); Latin-hypercube
   // points in raw weight space are near-useless LM starts, so cap that
   // budget instead of burning it on every fit.

@@ -67,7 +67,8 @@ class NeuralModel final : public core::ResilienceModel {
   std::pair<num::Vector, num::Vector> search_box(
       const data::PerformanceSeries& fit_window) const override;
 
-  void tune_multistart(opt::MultistartOptions& options) const override;
+  void tune_multistart(opt::MultistartOptions& options,
+                       const core::FitObjective& objective) const override;
 
   std::unique_ptr<ResilienceModel> clone() const override {
     return std::make_unique<NeuralModel>(*this);

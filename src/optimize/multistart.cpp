@@ -120,6 +120,7 @@ MultistartResult multistart_least_squares(const ResidualProblem& problem,
   out.best.stop_reason = StopReason::kNumericalFailure;
   for (const OptimizeResult& r : results) {
     ++out.starts_tried;
+    out.function_evaluations += r.function_evaluations;
     if (!std::isfinite(r.cost)) {
       ++out.starts_failed;
       continue;
@@ -134,6 +135,7 @@ MultistartResult multistart_least_squares(const ResidualProblem& problem,
     NelderMeadOptions nm = options.nm;
     nm.initial_step = 0.02;
     OptimizeResult polished = nelder_mead_least_squares(problem, out.best.parameters, nm);
+    out.function_evaluations += polished.function_evaluations;
     if (std::isfinite(polished.cost) && polished.cost < out.best.cost) {
       polished.function_evaluations += out.best.function_evaluations;
       polished.iterations += out.best.iterations;

@@ -51,9 +51,13 @@ struct MultistartOptions {
 };
 
 struct MultistartResult {
+  /// The winner. Its function_evaluations and iterations are the winning
+  /// start's, plus the polish's when the polish was kept.
   OptimizeResult best;
   int starts_tried = 0;
   int starts_failed = 0;  ///< Starts that produced non-finite costs.
+  /// Residual evaluations summed over every start and the polish, kept or not.
+  int function_evaluations = 0;
 };
 
 /// Minimize 0.5*||r(p)||^2 over starts. `search_lo`/`search_hi` bound the

@@ -530,6 +530,8 @@ http::Response App::handle_fit(const http::Request& request) {
   w.kv("time", core::predict_recovery_time(*fit, level));
   w.end_object();
 
+  // function_evaluations counts the whole fit (every start plus the polish);
+  // iterations are the winning start's.
   w.key("solver");
   w.begin_object();
   w.kv("function_evaluations", fit->function_evaluations);

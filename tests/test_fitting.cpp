@@ -197,22 +197,63 @@ TEST(FitModel, WeightValidation) {
 TEST(FitModel, WarmStartRefitMatchesColdFitAtAFractionOfTheWork) {
   // Cold fit on the first 30 samples, then a warm refit on the full series
   // seeded from the cold parameters: the incremental path live::Monitor uses.
-  // Competing risks, because the quadratic's cold fit already runs only its
-  // two exact guesses and so leaves the warm path nothing to save.
+  // Competing risks under Huber loss, which keeps the full start set: for the
+  // plain SSE the cold fit runs one exact variable-projection start (as the
+  // quadratic runs its two exact guesses), leaving the warm path nothing to
+  // save. On exact data the Huber optimum is the least-squares one.
   const data::PerformanceSeries series = exact_competing_risks_series(40);
-  const FitResult cold = fit_model("competing-risks", series.head(30), 0);
+  FitOptions huber;
+  huber.loss = opt::LossKind::kHuber;
+  const FitResult cold = fit_model("competing-risks", series.head(30), 0, huber);
   ASSERT_TRUE(cold.success());
 
-  FitOptions warm_opts;
+  FitOptions warm_opts = huber;
   warm_opts.warm_start = cold.parameters();
   const FitResult warm = fit_model("competing-risks", series, 0, warm_opts);
   EXPECT_TRUE(warm.success());
   EXPECT_LT(warm.sse, 1e-10);
   EXPECT_NEAR(warm.parameters()[0], 1.0, 1e-3);
 
-  const FitResult cold_full = fit_model("competing-risks", series, 0);
+  const FitResult cold_full = fit_model("competing-risks", series, 0, huber);
   EXPECT_LT(warm.starts_tried, cold_full.starts_tried);
   EXPECT_NEAR(warm.sse, cold_full.sse, 1e-8);
+}
+
+TEST(FitModel, StartPolicyFollowsTheObjective) {
+  // The quadratic's two exact guesses suffice under any convex loss; Cauchy
+  // is not convex and keeps the full set (2 guesses, 2 jittered copies each,
+  // 8 sampled). Competing risks' one exact start is the least-squares
+  // optimum, so only the plain unweighted SSE runs it alone.
+  const auto& ds = data::recession("1990-93");
+  const auto starts = [&ds](const char* model, opt::LossKind loss, bool weighted) {
+    FitOptions options;
+    options.loss = loss;
+    if (weighted) options.weights.assign(ds.series.size() - ds.holdout, 2.0);
+    const FitResult fit = fit_model(model, ds.series, ds.holdout, options);
+    EXPECT_TRUE(fit.success()) << model;
+    return fit.starts_tried;
+  };
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, false), 2);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, true), 2);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kHuber, false), 2);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kCauchy, false), 14);
+  EXPECT_EQ(starts("competing-risks", opt::LossKind::kSquared, false), 1);
+  EXPECT_EQ(starts("competing-risks", opt::LossKind::kSquared, true), 11);
+  EXPECT_EQ(starts("competing-risks", opt::LossKind::kHuber, false), 11);
+  EXPECT_EQ(starts("competing-risks", opt::LossKind::kCauchy, false), 11);
+}
+
+TEST(FitModel, CompetingRisksRefitDeclinesTheWarmStart) {
+  // Under the plain SSE the exact start is cheaper than LM from the previous
+  // solution and never worse, so a refit is its window's cold fit, bit for bit.
+  const data::PerformanceSeries series = exact_competing_risks_series(40);
+  FitOptions warm;
+  warm.warm_start = num::Vector{0.5, 1.0, 1e-12};  // a poor seed, parked at a bound
+  const FitResult refit = fit_model("competing-risks", series, 0, warm);
+  const FitResult cold = fit_model("competing-risks", series, 0);
+  EXPECT_EQ(refit.parameters(), cold.parameters());
+  EXPECT_EQ(refit.starts_tried, 1);
+  EXPECT_LT(refit.sse, 1e-10);
 }
 
 TEST(FitModel, WarmStartDimensionMismatchThrows) {

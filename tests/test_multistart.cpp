@@ -342,5 +342,44 @@ TEST(Multistart, PolishRunsOnceOnTheLmWinner) {
   }
 }
 
+TEST(Multistart, FunctionEvaluationsSumEveryStartAndThePolish) {
+  // The result's count is the whole fit's: each start's LM evaluations plus
+  // the polish's, at any thread count. best.function_evaluations stays the
+  // winner's.
+  ResidualProblem problem;
+  problem.num_parameters = 2;
+  problem.num_residuals = 2;
+  problem.residuals = [](const num::Vector& p) {
+    return num::Vector{10.0 * (p[1] - p[0] * p[0]), 1.0 - p[0]};
+  };
+  MultistartOptions opts;
+  opts.sampled_starts = 6;
+  opts.lm.max_iterations = 2;
+  opts.nm.max_iterations = 40;
+  const std::vector<num::Vector> caller = {{-1.5, 2.0}};
+  const num::Vector lo = {-3.0, -3.0};
+  const num::Vector hi = {3.0, 3.0};
+
+  MultistartOptions lm_only = opts;
+  lm_only.polish_with_nelder_mead = false;
+  const auto winner = multistart_least_squares(problem, caller, lo, hi, lm_only);
+  int lm_evals = 0;
+  for (const num::Vector& start : multistart_start_points(caller, lo, hi, opts, 2)) {
+    lm_evals += levenberg_marquardt(problem, start, opts.lm).function_evaluations;
+  }
+  EXPECT_EQ(winner.function_evaluations, lm_evals);
+  EXPECT_GT(winner.function_evaluations, winner.best.function_evaluations);
+
+  NelderMeadOptions nm = opts.nm;
+  nm.initial_step = 0.02;
+  const int polish_evals =
+      nelder_mead_least_squares(problem, winner.best.parameters, nm).function_evaluations;
+  for (const int threads : {1, 4}) {
+    opts.threads = threads;
+    const auto got = multistart_least_squares(problem, caller, lo, hi, opts);
+    EXPECT_EQ(got.function_evaluations, lm_evals + polish_evals) << "threads = " << threads;
+  }
+}
+
 }  // namespace
 }  // namespace prm::opt

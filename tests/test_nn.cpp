@@ -348,7 +348,7 @@ TEST(NnModel, TuneMultistartCapsExploration) {
   opt::MultistartOptions options;
   options.sampled_starts = 40;
   options.jitter_per_start = 8;
-  model->tune_multistart(options);
+  model->tune_multistart(options, core::FitObjective{});
   EXPECT_LE(options.sampled_starts, 2);
   EXPECT_LE(options.jitter_per_start, 1);
 }
