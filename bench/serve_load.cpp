@@ -309,14 +309,14 @@ CellResult run_cell(const std::string& mix, std::size_t connections,
         conn.out = conn.scratch;
       };
 
-      std::unique_ptr<serve::Poller> poller = serve::make_poller();
+      serve::Poller poller;
       std::vector<Conn> conns;
       std::vector<std::size_t> by_fd;  // fd -> index into conns
       std::size_t live = 0;
 
       auto fail_conn = [&](Conn& conn) {
         ++errors;
-        poller->remove(conn.fd);
+        poller.remove(conn.fd);
         ::close(conn.fd);
         conn.fd = -1;
         --live;
@@ -334,7 +334,7 @@ CellResult run_cell(const std::string& mix, std::size_t connections,
           }
           if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
             if (!conn.write_armed) {
-              poller->modify(conn.fd, true, true);
+              poller.modify(conn.fd, true, true);
               conn.write_armed = true;
             }
             return true;
@@ -344,7 +344,7 @@ CellResult run_cell(const std::string& mix, std::size_t connections,
         }
         conn.sending = false;
         if (conn.write_armed) {
-          poller->modify(conn.fd, true, false);
+          poller.modify(conn.fd, true, false);
           conn.write_armed = false;
         }
         return true;
@@ -419,14 +419,14 @@ CellResult run_cell(const std::string& mix, std::size_t connections,
           by_fd.resize(static_cast<std::size_t>(conn.fd) + 1, SIZE_MAX);
         }
         by_fd[static_cast<std::size_t>(conn.fd)] = k;
-        poller->add(conn.fd, true, false);
+        poller.add(conn.fd, true, false);
         build_request(conn);
         try_send(conn);
       }
 
       std::vector<serve::PollerEvent> events;
       while (!stop.load(std::memory_order_relaxed) && live > 0) {
-        poller->wait(events, 50);
+        poller.wait(events, 50);
         for (const serve::PollerEvent& event : events) {
           if (static_cast<std::size_t>(event.fd) >= by_fd.size()) continue;
           const std::size_t k = by_fd[static_cast<std::size_t>(event.fd)];
@@ -444,7 +444,7 @@ CellResult run_cell(const std::string& mix, std::size_t connections,
 
       for (Conn& conn : conns) {
         if (conn.fd >= 0) {
-          poller->remove(conn.fd);
+          poller.remove(conn.fd);
           ::close(conn.fd);
           conn.fd = -1;
         }
@@ -517,7 +517,6 @@ void write_json(const Options& options, const std::vector<CellResult>& results) 
   std::size_t pool_high_water = 0;
   std::uint64_t writev_calls = 0;
   std::uint64_t writev_batches = 0;
-  bool reuseport = false;
   for (const CellResult& r : results) {
     pool_acquired += r.server.buffer_pool.acquired;
     pool_recycled += r.server.buffer_pool.recycled;
@@ -525,15 +524,13 @@ void write_json(const Options& options, const std::vector<CellResult>& results) 
     pool_high_water = std::max(pool_high_water, r.server.buffer_pool.high_water);
     writev_calls += r.server.writev_calls;
     writev_batches += r.server.writev_batches;
-    reuseport = reuseport || r.server.reuseport;
   }
   out << "{\n  \"context\": {\"benchmark\": \"serve_load\", \"seconds_per_cell\": "
       << options.seconds << ", \"buffer_pool\": {\"acquired\": " << pool_acquired
       << ", \"recycled\": " << pool_recycled << ", \"misses\": " << pool_misses
       << ", \"high_water\": " << pool_high_water << "}, \"writev\": {\"calls\": "
       << writev_calls << ", \"batches\": " << writev_batches
-      << "}, \"reuseport\": " << (reuseport ? "true" : "false")
-      << "},\n  \"benchmarks\": [\n";
+      << "}},\n  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CellResult& r = results[i];
     const std::string name = "ServeLoad/" + r.mix + "/conns:" +

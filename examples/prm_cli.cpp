@@ -13,7 +13,7 @@
 //   prm_cli serve     [--port N] [--threads N] [--event-threads N]
 //                     [--fit-threads N] [--model NAME]
 //                     [--cache N] [--queue N] [--shards N]
-//                     [--reuseport on|off] [--max-batch N]
+//                     [--max-batch N]
 //                     [--wal-dir DIR] [--fsync always|interval|never]
 //                     [--cluster HOST:PORT --peers A,B,...]   # ring node
 //                     [--router on --peers A,B,...]           # thin proxy
@@ -73,7 +73,7 @@ const std::map<std::string, std::vector<std::string>>& command_options() {
        {"csv", "model", "threads", "refit-every", "save", "load", "wal-dir", "fsync"}},
       {"serve",
        {"port", "threads", "event-threads", "fit-threads", "model", "cache", "queue",
-        "shards", "wal-dir", "fsync", "reuseport", "max-batch", "cluster", "peers",
+        "shards", "wal-dir", "fsync", "max-batch", "cluster", "peers",
         "router"}},
       {"models", {}},
       {"demo", {"model", "holdout", "loss", "level", "save", "threads"}},
@@ -100,14 +100,11 @@ void usage(std::ostream& out) {
       << "  prm_cli serve   [--port N] [--threads N] [--event-threads N]\n"
       << "                  [--fit-threads N] [--model NAME]\n"
       << "                  [--cache N] [--queue N] [--shards N]  # --port 0 = ephemeral\n"
-      << "                  # --threads: HTTP workers; --event-threads: epoll/poll\n"
-      << "                  #   readiness loops; --fit-threads: solver threads per\n"
-      << "                  #   fit; --cache: fit-cache entries; --queue: pending\n"
-      << "                  #   requests before 503\n"
+      << "                  # --threads: HTTP workers; --event-threads: epoll loops,\n"
+      << "                  #   one SO_REUSEPORT listener each; --fit-threads: solver\n"
+      << "                  #   threads per fit; --cache: fit-cache entries; --queue:\n"
+      << "                  #   pending requests before 503\n"
       << "                  # --shards: cache/registry stripes (omit for one per core)\n"
-      << "                  [--reuseport on|off]  # SO_REUSEPORT accept sharding:\n"
-      << "                  #   one listen socket per event loop (default on;\n"
-      << "                  #   falls back to single-socket at runtime)\n"
       << "                  [--max-batch N]  # samples accepted per\n"
       << "                  #   /v1/streams/{name}/ingest-batch request\n"
       << "                  [--wal-dir DIR] [--fsync always|interval|never]\n"
@@ -580,18 +577,6 @@ int run_serve(const CliArgs& args) {
   } else if (!threads_ok) {
     return 1;
   }
-  if (args.options.count("reuseport")) {
-    const std::string& value = args.options.at("reuseport");
-    if (value == "on") {
-      server_options.reuseport = true;
-    } else if (value == "off") {
-      server_options.reuseport = false;
-    } else {
-      std::cerr << "prm_cli: '--reuseport' must be 'on' or 'off', got '" << value
-                << "'\n";
-      return 1;
-    }
-  }
 
   serve::App app(app_options);
   if (app.monitor().wal_enabled()) {
@@ -623,8 +608,8 @@ int run_serve(const CliArgs& args) {
   // The "listening on" line is the startup contract: CI and scripts poll for
   // it (and parse the ephemeral port from it), so flush immediately.
   std::cout << "prm_cli serve: listening on " << server_options.bind_address << ':'
-            << server.port() << " (" << server_options.event_threads << ' '
-            << server.backend_name() << " loop(s), " << server_options.threads
+            << server.port() << " (" << server_options.event_threads
+            << " epoll loop(s), " << server_options.threads
             << " worker thread(s), fit cache " << app.fit_cache().capacity() << " in "
             << app.fit_cache().shards() << " shard(s), model '"
             << app.options().default_model << "')" << std::endl;

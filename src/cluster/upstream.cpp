@@ -1,7 +1,6 @@
 #include "cluster/upstream.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -39,32 +38,12 @@ PeerAddress parse_peer(const std::string& address) {
   return parsed;
 }
 
-namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
-
 UpstreamPool::UpstreamPool(UpstreamOptions options) : options_(options) {}
 
 UpstreamPool::~UpstreamPool() { stop(); }
 
 void UpstreamPool::start() {
   if (running_.exchange(true)) return;
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    running_.store(false);
-    throw std::runtime_error("UpstreamPool: pipe() failed");
-  }
-  wake_read_fd_ = fds[0];
-  wake_write_fd_ = fds[1];
-  set_nonblocking(wake_read_fd_);
-  set_nonblocking(wake_write_fd_);
-  poller_ = serve::make_poller(options_.backend);
-  poller_->add(wake_read_fd_, /*want_read=*/true, /*want_write=*/false);
   {
     std::lock_guard<std::mutex> lock(submit_m_);
     stopping_ = false;
@@ -78,14 +57,15 @@ void UpstreamPool::stop() {
     std::lock_guard<std::mutex> lock(submit_m_);
     stopping_ = true;
   }
-  wake();
+  poller_.wake();
   if (reactor_.joinable()) reactor_.join();
 
   // Reactor has exited: everything left is reactor-private now.
   for (auto& [address, peer] : peers_) {
     for (auto& conn : peer->conns) {
       for (auto& [done, enqueued] : conn->inflight) complete(done, false, {});
-      if (conn->fd >= 0) ::close(conn->fd);
+      poller_.remove(conn->fd);
+      ::close(conn->fd);
       connections_open_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
@@ -97,10 +77,6 @@ void UpstreamPool::stop() {
     leftovers.swap(submissions_);
   }
   for (auto& [address, pending] : leftovers) complete(pending.done, false, {});
-  poller_.reset();
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
-  wake_read_fd_ = wake_write_fd_ = -1;
   running_.store(false);
 }
 
@@ -115,7 +91,7 @@ void UpstreamPool::forward(const std::string& peer, http::Request request,
     }
   }
   if (accepted) {
-    wake();
+    poller_.wake();
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
     done(false, {});
@@ -140,12 +116,6 @@ UpstreamStats UpstreamPool::stats() const {
 std::vector<std::string> UpstreamPool::down_peers() const {
   std::lock_guard<std::mutex> lock(down_m_);
   return {down_mirror_.begin(), down_mirror_.end()};
-}
-
-void UpstreamPool::wake() {
-  if (wake_write_fd_ < 0) return;
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
 }
 
 void UpstreamPool::complete(Callback& done, bool ok, http::Response response) {
@@ -175,16 +145,8 @@ void UpstreamPool::reactor_main() {
     }
     drain_submissions();
     check_deadlines();
-    events.clear();
-    const int n = poller_->wait(events, wait_timeout_ms());
-    for (int i = 0; i < n; ++i) {
-      const serve::PollerEvent& event = events[static_cast<std::size_t>(i)];
-      if (event.fd == wake_read_fd_) {
-        char buf[256];
-        while (::read(wake_read_fd_, buf, sizeof buf) > 0) {
-        }
-        continue;
-      }
+    poller_.wait(events, wait_timeout_ms());
+    for (const serve::PollerEvent& event : events) {
       const auto it = by_fd_.find(event.fd);
       if (it == by_fd_.end()) continue;  // closed earlier this batch
       Conn& conn = *it->second;
@@ -204,7 +166,7 @@ void UpstreamPool::reactor_main() {
           }
           conn.connected = true;
           connects_.fetch_add(1, std::memory_order_relaxed);
-          poller_->modify(conn.fd, /*want_read=*/true, /*want_write=*/false);
+          poller_.modify(conn.fd, /*want_read=*/true, /*want_write=*/false);
           conn.want_write = false;
         }
         flush(conn);
@@ -276,9 +238,8 @@ UpstreamPool::Conn* UpstreamPool::pick_connection(Peer& peer) {
 }
 
 UpstreamPool::Conn* UpstreamPool::open_connection(Peer& peer) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return nullptr;
-  set_nonblocking(fd);
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
@@ -305,11 +266,11 @@ UpstreamPool::Conn* UpstreamPool::open_connection(Peer& peer) {
   if (rc == 0) {
     conn->connected = true;
     connects_.fetch_add(1, std::memory_order_relaxed);
-    poller_->add(fd, /*want_read=*/true, /*want_write=*/false);
+    poller_.add(fd, /*want_read=*/true, /*want_write=*/false);
   } else {
     // EINPROGRESS: EPOLLOUT signals the handshake result (SO_ERROR tells
     // which); queued requests flush right after.
-    poller_->add(fd, /*want_read=*/false, /*want_write=*/true);
+    poller_.add(fd, /*want_read=*/false, /*want_write=*/true);
     conn->want_write = true;
   }
   connections_open_.fetch_add(1, std::memory_order_relaxed);
@@ -322,7 +283,7 @@ UpstreamPool::Conn* UpstreamPool::open_connection(Peer& peer) {
 void UpstreamPool::set_write_interest(Conn& conn, bool want) {
   if (conn.want_write == want) return;
   conn.want_write = want;
-  poller_->modify(conn.fd, /*want_read=*/true, /*want_write=*/want);
+  poller_.modify(conn.fd, /*want_read=*/true, /*want_write=*/want);
 }
 
 void UpstreamPool::flush(Conn& conn) {
@@ -404,7 +365,7 @@ void UpstreamPool::fail_connection(Conn& conn, const char* /*reason*/) {
   if (!conn.inflight.empty()) mark_down(peer);
   for (auto& [done, enqueued] : conn.inflight) complete(done, false, {});
   conn.inflight.clear();
-  poller_->remove(conn.fd);
+  poller_.remove(conn.fd);
   ::close(conn.fd);
   by_fd_.erase(conn.fd);
   connections_open_.fetch_sub(1, std::memory_order_relaxed);

@@ -65,7 +65,6 @@ struct UpstreamOptions {
   /// keep pipelining onto the least-loaded connection.
   std::size_t max_inflight_per_connection = 32;
   int retry_down_ms = 1000;
-  serve::PollerBackend backend = serve::PollerBackend::kAuto;
 };
 
 struct UpstreamStats {
@@ -152,13 +151,12 @@ class UpstreamPool {
   void check_deadlines();
   int wait_timeout_ms() const;
   void complete(Callback& done, bool ok, serve::http::Response response);
-  void wake();
 
   UpstreamOptions options_;
 
-  std::unique_ptr<serve::Poller> poller_;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  /// Lives as long as the pool, so forward() may wake() it while a stop()
+  /// runs: the eventfd is never closed under a racing write.
+  serve::Poller poller_;
 
   std::mutex submit_m_;
   std::vector<std::pair<std::string, Pending>> submissions_;

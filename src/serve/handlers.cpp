@@ -413,7 +413,6 @@ http::Response App::handle_metrics() const {
       w.kv("responses_2xx", s.responses_2xx);
       w.kv("responses_4xx", s.responses_4xx);
       w.kv("responses_5xx", s.responses_5xx);
-      w.kv("reuseport", s.reuseport);
       w.kv("threads", s.threads);
       w.kv("timeouts", s.timeouts);
       w.kv("writev_batches", s.writev_batches);

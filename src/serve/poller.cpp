@@ -1,176 +1,100 @@
 #include "serve/poller.hpp"
 
-#include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
+#include <string>
 
 namespace prm::serve {
 
 namespace {
 
-#ifdef __linux__
-
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {
-    if (epoll_fd_ < 0) {
-      throw std::runtime_error(std::string("epoll_create1: ") + std::strerror(errno));
-    }
-    events_.resize(64);
-  }
-
-  ~EpollPoller() override { ::close(epoll_fd_); }
-
-  void add(int fd, bool want_read, bool want_write) override {
-    control(EPOLL_CTL_ADD, fd, want_read, want_write);
-    ++watched_;
-  }
-
-  void modify(int fd, bool want_read, bool want_write) override {
-    control(EPOLL_CTL_MOD, fd, want_read, want_write);
-  }
-
-  void remove(int fd) override {
-    epoll_event ev{};
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev) == 0 && watched_ > 0) {
-      --watched_;
-    }
-  }
-
-  int wait(std::vector<PollerEvent>& out, int timeout_ms) override {
-    out.clear();
-    const int n = ::epoll_wait(epoll_fd_, events_.data(),
-                               static_cast<int>(events_.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throw std::runtime_error(std::string("epoll_wait: ") + std::strerror(errno));
-    }
-    out.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      PollerEvent event;
-      event.fd = events_[static_cast<std::size_t>(i)].data.fd;
-      const std::uint32_t mask = events_[static_cast<std::size_t>(i)].events;
-      event.readable = (mask & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0;
-      event.writable = (mask & EPOLLOUT) != 0;
-      event.error = (mask & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(event);
-    }
-    // A full buffer means there may be more ready fds than slots; grow so the
-    // next wait drains them in one call.
-    if (static_cast<std::size_t>(n) == events_.size()) events_.resize(events_.size() * 2);
-    return n;
-  }
-
-  std::string_view name() const noexcept override { return "epoll"; }
-
- private:
-  void control(int op, int fd, bool want_read, bool want_write) {
-    epoll_event ev{};
-    ev.data.fd = fd;
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    if (::epoll_ctl(epoll_fd_, op, fd, &ev) != 0) {
-      throw std::runtime_error(std::string("epoll_ctl: ") + std::strerror(errno));
-    }
-  }
-
-  int epoll_fd_ = -1;
-  std::size_t watched_ = 0;
-  std::vector<epoll_event> events_;
-};
-
-#endif  // __linux__
-
-class PollPoller final : public Poller {
- public:
-  void add(int fd, bool want_read, bool want_write) override {
-    if (index_.count(fd) != 0) {
-      throw std::runtime_error("PollPoller: fd already registered");
-    }
-    index_[fd] = fds_.size();
-    pollfd entry{};
-    entry.fd = fd;
-    entry.events = mask(want_read, want_write);
-    fds_.push_back(entry);
-  }
-
-  void modify(int fd, bool want_read, bool want_write) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) throw std::runtime_error("PollPoller: unknown fd");
-    fds_[it->second].events = mask(want_read, want_write);
-  }
-
-  void remove(int fd) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t pos = it->second;
-    index_.erase(it);
-    if (pos + 1 != fds_.size()) {  // swap-remove, fix the moved entry's index
-      fds_[pos] = fds_.back();
-      index_[fds_[pos].fd] = pos;
-    }
-    fds_.pop_back();
-  }
-
-  int wait(std::vector<PollerEvent>& out, int timeout_ms) override {
-    out.clear();
-    const int n = ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throw std::runtime_error(std::string("poll: ") + std::strerror(errno));
-    }
-    if (n == 0) return 0;
-    for (const pollfd& entry : fds_) {
-      if (entry.revents == 0) continue;
-      PollerEvent event;
-      event.fd = entry.fd;
-      event.readable = (entry.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-      event.writable = (entry.revents & POLLOUT) != 0;
-      event.error = (entry.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out.push_back(event);
-      if (static_cast<int>(out.size()) == n) break;
-    }
-    return static_cast<int>(out.size());
-  }
-
-  std::string_view name() const noexcept override { return "poll"; }
-
- private:
-  static short mask(bool want_read, bool want_write) {
-    return static_cast<short>((want_read ? POLLIN : 0) | (want_write ? POLLOUT : 0));
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-};
+[[noreturn]] void throw_errno(const char* what) {
+  throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
+}
 
 }  // namespace
 
-std::unique_ptr<Poller> make_poller(PollerBackend backend) {
-  switch (backend) {
-    case PollerBackend::kPoll:
-      return std::make_unique<PollPoller>();
-    case PollerBackend::kEpoll:
-#ifdef __linux__
-      return std::make_unique<EpollPoller>();
-#else
-      throw std::runtime_error("epoll backend requires Linux");
-#endif
-    case PollerBackend::kAuto:
-    default:
-#ifdef __linux__
-      return std::make_unique<EpollPoller>();
-#else
-      return std::make_unique<PollPoller>();
-#endif
+Poller::Poller()
+    : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+      events_(64) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (epoll_fd_ < 0 || wake_fd_ < 0 ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    const int saved = errno;
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    errno = saved;
+    throw_errno("Poller: epoll/eventfd setup");
   }
+}
+
+Poller::~Poller() {
+  ::close(wake_fd_);
+  ::close(epoll_fd_);
+}
+
+void Poller::add(int fd, bool want_read, bool want_write) {
+  control(EPOLL_CTL_ADD, fd, want_read, want_write);
+}
+
+void Poller::modify(int fd, bool want_read, bool want_write) {
+  control(EPOLL_CTL_MOD, fd, want_read, want_write);
+}
+
+void Poller::remove(int fd) {
+  epoll_event ev{};
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
+}
+
+int Poller::wait(std::vector<PollerEvent>& out, int timeout_ms) {
+  out.clear();
+  const int n = ::epoll_wait(epoll_fd_, events_.data(),
+                             static_cast<int>(events_.size()), timeout_ms);
+  if (n < 0) {
+    if (errno == EINTR) return 0;
+    throw_errno("epoll_wait");
+  }
+  out.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const epoll_event& ready = events_[static_cast<std::size_t>(i)];
+    if (ready.data.fd == wake_fd_) {
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t r = ::read(wake_fd_, &count, sizeof count);
+      continue;
+    }
+    PollerEvent event;
+    event.fd = ready.data.fd;
+    event.readable = (ready.events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0;
+    event.writable = (ready.events & EPOLLOUT) != 0;
+    event.error = (ready.events & (EPOLLERR | EPOLLHUP)) != 0;
+    out.push_back(event);
+  }
+  // A full buffer means there may be more ready fds than slots; grow so the
+  // next wait drains them in one call.
+  if (static_cast<std::size_t>(n) == events_.size()) events_.resize(events_.size() * 2);
+  return static_cast<int>(out.size());
+}
+
+void Poller::wake() noexcept {
+  // Nonblocking: the write fails only when the counter is at its maximum,
+  // and then the eventfd is readable already.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+}
+
+void Poller::control(int op, int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.data.fd = fd;
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  if (::epoll_ctl(epoll_fd_, op, fd, &ev) != 0) throw_errno("epoll_ctl");
 }
 
 }  // namespace prm::serve

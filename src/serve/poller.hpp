@@ -1,63 +1,66 @@
-// Readiness-notification abstraction for the event-driven server: a Poller
-// watches a set of fds for read/write readiness and reports what woke up.
+// Readiness notification for the event-driven server, the cluster's
+// upstream reactor and the serve_load client: one Linux epoll instance plus
+// the eventfd that wakes it from other threads. The service layer is
+// Linux-only (epoll, eventfd, SO_REUSEPORT).
 //
-// Two backends behind one interface:
-//  * epoll (Linux) -- O(ready) wakeups, the production path for thousands of
-//    mostly-idle keep-alive connections.
-//  * poll  (POSIX) -- O(watched) scans, the portable fallback; also
-//    selectable on Linux (PollerBackend::kPoll) so tests exercise it.
+// Level-triggered: an fd stays reported until the condition is consumed.
+// The server relies on that (it stops reading while a request is executing
+// and resumes afterwards without re-arm bookkeeping).
 //
-// Both are level-triggered: an fd stays reported until the condition is
-// consumed. The server relies on that (it stops reading while a request is
-// executing and resumes afterwards without re-arm bookkeeping).
-//
-// A Poller belongs to exactly one event-loop thread; no method is
-// thread-safe. Cross-thread wakeups are the owner's job (see the wake pipe
-// in server.cpp).
+// A Poller belongs to exactly one reactor thread; add/modify/remove/wait are
+// not thread-safe. wake() is: any thread may call it for as long as the
+// Poller lives. The eventfd is closed only by the destructor and has no
+// reader end that could close first, so a late wake() can neither raise
+// SIGPIPE nor land in a reused fd.
 #pragma once
 
-#include <memory>
-#include <string_view>
+#include <sys/epoll.h>
+
 #include <vector>
 
 namespace prm::serve {
-
-enum class PollerBackend {
-  kAuto,   ///< epoll on Linux, poll elsewhere.
-  kEpoll,  ///< Linux only; make_poller throws when unavailable.
-  kPoll,   ///< Portable poll(2) loop.
-};
 
 struct PollerEvent {
   int fd = -1;
   bool readable = false;  ///< Read (or accept) will not block; includes EOF.
   bool writable = false;
-  bool error = false;  ///< EPOLLERR/EPOLLHUP-class condition on the fd.
+  bool error = false;  ///< EPOLLERR/EPOLLHUP on the fd.
 };
 
 class Poller {
  public:
-  virtual ~Poller() = default;
+  /// Creates the epoll instance and its wakeup eventfd; throws
+  /// std::runtime_error when either cannot be created.
+  Poller();
+  ~Poller();
+
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
   /// Register fd with the given interest set. fd must not already be added.
-  virtual void add(int fd, bool want_read, bool want_write) = 0;
+  void add(int fd, bool want_read, bool want_write);
 
   /// Change interest for an already-added fd. Interest {false,false} keeps
   /// the fd registered; error conditions may still be reported for it.
-  virtual void modify(int fd, bool want_read, bool want_write) = 0;
+  void modify(int fd, bool want_read, bool want_write);
 
   /// Deregister fd. Must be called before the fd is closed.
-  virtual void remove(int fd) = 0;
+  void remove(int fd);
 
   /// Block up to timeout_ms (-1 = forever, 0 = poll) and fill `out` with the
-  /// ready set. Returns the number of events (0 on timeout or EINTR).
-  virtual int wait(std::vector<PollerEvent>& out, int timeout_ms) = 0;
+  /// ready set. A wake() ends the wait and is consumed here, never reported.
+  /// Returns out.size() (0 on timeout, wakeup or EINTR).
+  int wait(std::vector<PollerEvent>& out, int timeout_ms);
 
-  virtual std::string_view name() const noexcept = 0;
+  /// Make the current or the next wait() return. Thread-safe, never blocks.
+  void wake() noexcept;
+
+ private:
+  void control(int op, int fd, bool want_read, bool want_write);
+
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::vector<epoll_event> events_;
 };
-
-/// Construct the requested backend; kAuto picks epoll on Linux, poll
-/// elsewhere. Throws std::runtime_error when the backend is unavailable.
-std::unique_ptr<Poller> make_poller(PollerBackend backend = PollerBackend::kAuto);
 
 }  // namespace prm::serve

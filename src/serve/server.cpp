@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -71,11 +70,6 @@ const std::shared_ptr<const std::string>& timeout_response() {
   return response;
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 /// Timer-wheel tick: coarse enough to stay cheap, fine enough that a
 /// deadline fires within ~12% of the configured timeout.
 std::uint64_t wheel_tick_ms(int idle_timeout_ms) {
@@ -113,23 +107,22 @@ struct Server::Connection {
 
 struct Server::EventLoop {
   explicit EventLoop(std::uint64_t tick_ms) : wheel(tick_ms) {}
+  ~EventLoop() {
+    if (listen_fd >= 0) ::close(listen_fd);
+  }
 
   std::size_t index = 0;
-  std::unique_ptr<Poller> poller;
-  int wake_read = -1;
-  int wake_write = -1;
-  int listen_fd = -1;  ///< This loop's listening socket (loop 0 only when the
-                       ///< REUSEPORT shard fallback engaged).
+  Poller poller;  ///< Its eventfd outlives the thread: a late wake() is harmless.
+  int listen_fd = -1;                ///< This loop's listening socket.
   bool listen_deregistered = false;  ///< Listen fd pulled from the poller on stop.
   std::deque<Connection> slab;       ///< fd-indexed; deque keeps refs stable.
   TimerWheel wheel;
   std::vector<int> expired_scratch;
   BufferPool pool;  ///< Loop-thread-only buffer recycling (heads, owned bodies).
 
-  // Cross-thread inbox: new fds dealt by loop 0, finished responses from
-  // workers. Guarded by inbox_mutex; wake_signaled collapses pipe writes.
+  // Cross-thread inbox: finished responses from workers and async handlers.
+  // Guarded by inbox_mutex; wake_signaled collapses eventfd writes.
   std::mutex inbox_mutex;
-  std::vector<int> incoming;
   std::vector<CompletionMsg> completions;
   bool wake_signaled = false;
 
@@ -168,55 +161,34 @@ Server::Server(ServerOptions options, Handler handler)
 
 Server::~Server() { stop(); }
 
-std::string_view Server::backend_name() const noexcept {
-#ifdef __linux__
-  return options_.backend == PollerBackend::kPoll ? "poll" : "epoll";
-#else
-  return "poll";
-#endif
-}
-
-int Server::make_listen_socket(std::uint16_t port, bool with_reuseport,
-                               std::string& error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    error = "socket() failed";
-    return -1;
-  }
+int Server::make_listen_socket(std::uint16_t port, bool with_reuseport) {
+  const auto fail = [&](int fd, const std::string& error) {
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error("Server: cannot listen on " + options_.bind_address +
+                             ':' + std::to_string(port) + ": " + error);
+  };
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) fail(fd, std::strerror(errno));
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (with_reuseport) {
-    // Must be set before bind for the kernel to shard accepts across the
-    // per-loop sockets.
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
-      ::close(fd);
-      error = "SO_REUSEPORT unsupported";
-      return -1;
-    }
-#else
-    ::close(fd);
-    error = "SO_REUSEPORT unsupported";
-    return -1;
-#endif
+  // Must be set before bind for the kernel to shard accepts across the
+  // per-loop sockets.
+  if (with_reuseport &&
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0) {
+    fail(fd, std::string("SO_REUSEPORT: ") + std::strerror(errno));
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    error = "bad bind address '" + options_.bind_address + "'";
-    return -1;
+    fail(fd, "bad bind address '" + options_.bind_address + "'");
   }
   const int backlog =
       static_cast<int>(std::max<std::size_t>(options_.max_pending, 128));
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
       ::listen(fd, backlog) != 0) {
-    error = std::strerror(errno);
-    ::close(fd);
-    return -1;
+    fail(fd, std::strerror(errno));
   }
-  set_nonblocking(fd);
   return fd;
 }
 
@@ -224,81 +196,29 @@ void Server::start() {
   if (running_.exchange(true)) return;
   stopping_.store(false);
   loops_exit_.store(false);
-  reuseport_active_ = false;
 
-  // First socket: try the sharded scheme (REUSEPORT before bind) when asked
-  // for and useful; fall back to the classic single socket on any failure.
-  const bool want_shard = options_.reuseport && options_.event_threads > 1;
-  std::string error;
-  int first_fd = want_shard ? make_listen_socket(options_.port, true, error) : -1;
-  if (first_fd >= 0) {
-    reuseport_active_ = true;
-  } else {
-    first_fd = make_listen_socket(options_.port, false, error);
-  }
-  if (first_fd < 0) {
-    running_.store(false);
-    throw std::runtime_error("Server: cannot listen on " + options_.bind_address +
-                             ':' + std::to_string(options_.port) + ": " + error);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(first_fd, reinterpret_cast<sockaddr*>(&bound), &len);
-  const std::uint16_t resolved = ntohs(bound.sin_port);
-  port_.store(resolved);
-
-  // Remaining shards bind the now-resolved port (matters for port 0). A
-  // partial failure falls back to dealing from loop 0 rather than running a
-  // lopsided shard set.
-  std::vector<int> listen_fds;
-  listen_fds.push_back(first_fd);
-  if (reuseport_active_) {
-    for (std::size_t i = 1; i < options_.event_threads; ++i) {
-      const int fd = make_listen_socket(resolved, true, error);
-      if (fd < 0) break;
-      listen_fds.push_back(fd);
-    }
-    if (listen_fds.size() < options_.event_threads) {
-      for (std::size_t i = 1; i < listen_fds.size(); ++i) ::close(listen_fds[i]);
-      listen_fds.resize(1);
-      reuseport_active_ = false;
-    }
-  }
-
+  // One listener per loop. With several loops each binds with SO_REUSEPORT
+  // and the kernel shards accepts across them; the first bind resolves
+  // port 0 for the rest.
+  const bool shard = options_.event_threads > 1;
   try {
     loops_.clear();
-    next_loop_ = 0;
     const std::uint64_t tick = wheel_tick_ms(options_.idle_timeout_ms);
     for (std::size_t i = 0; i < options_.event_threads; ++i) {
       auto loop = std::make_unique<EventLoop>(tick);
       loop->index = i;
-      loop->poller = make_poller(options_.backend);
-      int pipe_fds[2] = {-1, -1};
-      if (::pipe(pipe_fds) != 0) {
-        throw std::runtime_error("Server: pipe() failed");
+      loop->listen_fd = make_listen_socket(i == 0 ? options_.port : port_.load(), shard);
+      if (i == 0) {
+        sockaddr_in bound{};
+        socklen_t len = sizeof bound;
+        ::getsockname(loop->listen_fd, reinterpret_cast<sockaddr*>(&bound), &len);
+        port_.store(ntohs(bound.sin_port));
       }
-      set_nonblocking(pipe_fds[0]);
-      set_nonblocking(pipe_fds[1]);
-      loop->wake_read = pipe_fds[0];
-      loop->wake_write = pipe_fds[1];
-      loop->poller->add(loop->wake_read, /*want_read=*/true, /*want_write=*/false);
-      if (i < listen_fds.size()) {
-        loop->listen_fd = listen_fds[i];
-        listen_fds[i] = -1;  // ownership moved into the loop
-        loop->poller->add(loop->listen_fd, /*want_read=*/true, /*want_write=*/false);
-      }
+      loop->poller.add(loop->listen_fd, /*want_read=*/true, /*want_write=*/false);
       loops_.push_back(std::move(loop));
     }
   } catch (...) {
-    for (auto& loop : loops_) {
-      if (loop->wake_read >= 0) ::close(loop->wake_read);
-      if (loop->wake_write >= 0) ::close(loop->wake_write);
-      if (loop->listen_fd >= 0) ::close(loop->listen_fd);
-    }
     loops_.clear();
-    for (const int fd : listen_fds) {
-      if (fd >= 0) ::close(fd);
-    }
     running_.store(false);
     throw;
   }
@@ -369,19 +289,13 @@ void Server::event_loop_run(EventLoop& loop) {
     if (loops_exit_.load(std::memory_order_acquire)) break;
     if (loop.listen_fd >= 0 && !loop.listen_deregistered &&
         stopping_.load(std::memory_order_relaxed)) {
-      loop.poller->remove(loop.listen_fd);
+      loop.poller.remove(loop.listen_fd);
       loop.listen_deregistered = true;
     }
     const int timeout =
         loop.wheel.empty() ? -1 : static_cast<int>(loop.wheel.tick_ms());
-    loop.poller->wait(events, timeout);
+    loop.poller.wait(events, timeout);
     for (const PollerEvent& event : events) {
-      if (event.fd == loop.wake_read) {
-        char buf[256];
-        while (::read(loop.wake_read, buf, sizeof buf) > 0) {
-        }
-        continue;
-      }
       if (event.fd == loop.listen_fd && !loop.listen_deregistered) {
         if (!stopping_.load(std::memory_order_relaxed)) accept_ready(loop);
         continue;
@@ -392,87 +306,47 @@ void Server::event_loop_run(EventLoop& loop) {
   }
 
   // Exit: the inbox was just drained (responses got one nonblocking flush);
-  // close whatever is still open.
+  // close whatever is still open. The poller and its eventfd stay until the
+  // loop is destroyed, so a completion posted after this point only queues.
   for (Connection& connection : loop.slab) {
     if (connection.open) close_connection(loop, connection);
   }
   if (loop.listen_fd >= 0 && !loop.listen_deregistered) {
-    loop.poller->remove(loop.listen_fd);
+    loop.poller.remove(loop.listen_fd);
     loop.listen_deregistered = true;
-  }
-  loop.poller->remove(loop.wake_read);
-  ::close(loop.wake_read);
-  {
-    // Closing the write end under the lock so a racing wake() either sees the
-    // open pipe or skips the write (signaled flag stays set once exiting).
-    std::lock_guard<std::mutex> lock(loop.inbox_mutex);
-    ::close(loop.wake_write);
-    loop.wake_write = -1;
-    loop.wake_signaled = true;
   }
 }
 
 void Server::drain_inbox(EventLoop& loop) {
-  std::vector<int> incoming;
   std::vector<CompletionMsg> completions;
   {
     std::lock_guard<std::mutex> lock(loop.inbox_mutex);
-    incoming.swap(loop.incoming);
     completions.swap(loop.completions);
     loop.wake_signaled = false;
   }
-  for (const int fd : incoming) adopt_connection(loop, fd);
   for (CompletionMsg& completion : completions) apply_completion(loop, completion);
 }
 
 void Server::wake(EventLoop& loop) {
-  // The write stays under the lock: the exiting loop closes wake_write under
-  // the same lock, so an unlocked write could hit a closed (or reused) fd.
-  // The pipe is nonblocking, so the write never waits.
   std::lock_guard<std::mutex> lock(loop.inbox_mutex);
-  if (!loop.wake_signaled && loop.wake_write >= 0) {
+  if (!loop.wake_signaled) {
     loop.wake_signaled = true;
-    const char byte = 'w';
-    (void)::write(loop.wake_write, &byte, 1);
+    loop.poller.wake();
   }
 }
 
 void Server::accept_ready(EventLoop& loop) {
+  // The kernel picked this loop's socket, so the connection stays here.
   for (;;) {
-#ifdef __linux__
     const int fd =
         ::accept4(loop.listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-    const int fd = ::accept(loop.listen_fd, nullptr, nullptr);
-#endif
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // EAGAIN (drained), or the listen socket is gone
     }
-#ifndef __linux__
-    set_nonblocking(fd);
-#endif
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (reuseport_active_) {
-      // Sharded accept: the kernel picked this loop's socket, so the
-      // connection stays here -- no cross-loop hand-off, no inbox hop.
-      loop.accepted.fetch_add(1, std::memory_order_relaxed);
-      adopt_connection(loop, fd);
-      continue;
-    }
-    const std::size_t target = next_loop_;
-    next_loop_ = (next_loop_ + 1) % loops_.size();
-    loops_[target]->accepted.fetch_add(1, std::memory_order_relaxed);
-    if (target == loop.index) {
-      adopt_connection(loop, fd);
-    } else {
-      EventLoop& other = *loops_[target];
-      {
-        std::lock_guard<std::mutex> lock(other.inbox_mutex);
-        other.incoming.push_back(fd);
-      }
-      wake(other);
-    }
+    loop.accepted.fetch_add(1, std::memory_order_relaxed);
+    adopt_connection(loop, fd);
   }
 }
 
@@ -496,7 +370,7 @@ void Server::adopt_connection(EventLoop& loop, int fd) {
   http::ParserLimits limits;
   limits.max_body_bytes = options_.max_body_bytes;
   connection.parser = http::RequestParser(limits);
-  loop.poller->add(fd, /*want_read=*/true, /*want_write=*/false);
+  loop.poller.add(fd, /*want_read=*/true, /*want_write=*/false);
   connection.want_read = true;
   loop.open_count.fetch_add(1, std::memory_order_relaxed);
   loop.wheel.schedule(fd, now_ms() + static_cast<std::uint64_t>(options_.idle_timeout_ms));
@@ -583,7 +457,7 @@ void Server::process(EventLoop& loop, Connection& connection) {
 
   // Inline fast path: when the worker queues are empty and recent handlers
   // were cheap, run the handler on the loop thread, skipping two context
-  // switches and the wake-pipe round trip per request. A pipelined burst
+  // switches and the eventfd wakeup per request. A pipelined burst
   // drains iteratively here (no recursion), queueing each response WITHOUT
   // flushing -- the whole burst then leaves in one sendmsg (or resumes via
   // EPOLLOUT). Slow or parked handlers are discovered on the worker pool
@@ -805,7 +679,7 @@ void Server::flush(EventLoop& loop, Connection& connection, bool reenter_process
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       if (!connection.want_write) {
         connection.want_write = true;
-        loop.poller->modify(connection.fd, connection.want_read, true);
+        loop.poller.modify(connection.fd, connection.want_read, true);
       }
       return;  // EPOLLOUT re-arms; the cursor resumes mid-head or mid-body
     }
@@ -814,7 +688,7 @@ void Server::flush(EventLoop& loop, Connection& connection, bool reenter_process
   }
   if (connection.want_write) {
     connection.want_write = false;
-    loop.poller->modify(connection.fd, connection.want_read, false);
+    loop.poller.modify(connection.fd, connection.want_read, false);
   }
   if (connection.close_after_write) {
     close_connection(loop, connection);
@@ -893,7 +767,7 @@ void Server::expire_deadlines(EventLoop& loop) {
 
 void Server::close_connection(EventLoop& loop, Connection& connection) {
   if (!connection.open) return;
-  loop.poller->remove(connection.fd);
+  loop.poller.remove(connection.fd);
   ::close(connection.fd);
   loop.wheel.cancel(connection.fd);
   connection.open = false;
@@ -910,7 +784,7 @@ void Server::close_connection(EventLoop& loop, Connection& connection) {
 void Server::set_read_interest(EventLoop& loop, Connection& connection, bool want) {
   if (connection.want_read == want) return;
   connection.want_read = want;
-  loop.poller->modify(connection.fd, want, connection.want_write);
+  loop.poller.modify(connection.fd, want, connection.want_write);
 }
 
 void Server::post_completion(std::size_t loop_index, CompletionMsg completion) {
@@ -1066,7 +940,6 @@ ServerStats Server::stats() const {
   s.timeouts = timeouts_.load(std::memory_order_relaxed);
   s.threads = options_.threads;
   s.event_threads = options_.event_threads;
-  s.reuseport = reuseport_active_;
   s.writev_calls = writev_calls_.load(std::memory_order_relaxed);
   s.writev_batches = writev_batches_.load(std::memory_order_relaxed);
   s.queue_depths.reserve(queues_.size());

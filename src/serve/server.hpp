@@ -1,27 +1,24 @@
-// Event-driven HTTP server over POSIX sockets: a small number of event-loop
-// threads run nonblocking accept + readiness polling (epoll on Linux, poll
-// as the portable fallback) and do all socket I/O, while a fixed pool of
-// worker threads runs the CPU-bound handlers.
+// Event-driven HTTP server over Linux sockets: a small number of event-loop
+// threads run nonblocking accept + epoll readiness polling and do all socket
+// I/O, while a fixed pool of worker threads runs the CPU-bound handlers.
 //
-// Reactor split: each event loop owns a Poller, a wakeup pipe, a timer wheel
-// for idle/header deadlines, a BufferPool, and a slab of Connection objects
-// keyed by fd (resumable RequestParser, WriteQueue, generation tag). With
-// SO_REUSEPORT (the default on Linux) every loop also owns its own listening
-// socket and accepts its own connections -- the kernel shards new flows
-// across the sockets by hash, so there is no accept bottleneck and no
-// cross-loop fd hand-off; when the platform lacks REUSEPORT the server
-// falls back to loop 0 dealing accepted fds round-robin. When a
-// connection's parser completes a request, the loop hands {request, fd,
-// generation} to the per-worker bounded deques; the worker runs the
-// handler, serializes the response head, and posts {head, body} back to the
-// owning loop, which queues them as iovecs and writes with one sendmsg
-// (vectored, partial-write cursor resume, EPOLLOUT re-arming). Keep-alive
-// and pipelining fall out of the resumable parser: after a response is
-// flushed the loop re-arms the parser, and a pipelined request already in
-// the buffer dispatches immediately. One request per connection is in
-// flight at a time, so pipelined responses always come back in order; a
-// pipelined burst handled on the inline fast path coalesces its responses
-// into a single sendmsg.
+// Reactor split: each event loop owns a Poller (epoll plus its wakeup
+// eventfd), a timer wheel for idle/header deadlines, a BufferPool, a
+// listening socket, and a slab of Connection objects keyed by fd (resumable
+// RequestParser, WriteQueue, generation tag). With more than one loop every
+// loop binds its own SO_REUSEPORT listener and accepts its own connections
+// -- the kernel shards new flows across the sockets by hash, so there is no
+// accept bottleneck and no cross-loop fd hand-off. When a connection's
+// parser completes a request, the loop hands {request, fd, generation} to
+// the per-worker bounded deques; the worker runs the handler, serializes
+// the response head, and posts {head, body} back to the owning loop, which
+// queues them as iovecs and writes with one sendmsg (vectored, partial-write
+// cursor resume, EPOLLOUT re-arming). Keep-alive and pipelining fall out of
+// the resumable parser: after a response is flushed the loop re-arms the
+// parser, and a pipelined request already in the buffer dispatches
+// immediately. One request per connection is in flight at a time, so
+// pipelined responses always come back in order; a pipelined burst handled
+// on the inline fast path coalesces its responses into a single sendmsg.
 //
 // Inline fast path: when every worker queue is empty and the EMA of recent
 // handler+serialize times is small, the loop runs the handler itself and
@@ -78,14 +75,6 @@ struct ServerOptions {
   std::size_t max_pending = 64;  ///< Total bounded queue budget; beyond it -> 503.
   std::size_t max_body_bytes = 8 * 1024 * 1024;
   int idle_timeout_ms = 10000;   ///< Idle cutoff AND per-request header/body deadline.
-  PollerBackend backend = PollerBackend::kAuto;  ///< epoll/poll selection.
-
-  /// SO_REUSEPORT accept sharding: every event loop binds its own listening
-  /// socket and accepts its own connections (the kernel spreads them by
-  /// flow hash), eliminating the deal-from-loop-0 hop. Falls back to the
-  /// single-socket scheme at runtime when the platform lacks SO_REUSEPORT
-  /// or a bind fails; ServerStats::reuseport reports what actually engaged.
-  bool reuseport = true;
 };
 
 /// Upper edges (inclusive) of the latency histogram buckets, microseconds;
@@ -109,7 +98,6 @@ struct ServerStats {
   std::size_t event_threads = 0;
   std::array<std::uint64_t, kLatencyBucketEdgesUs.size() + 1> latency_buckets{};
 
-  bool reuseport = false;            ///< Accept sharding actually engaged.
   std::uint64_t writev_calls = 0;    ///< sendmsg(2) flushes issued.
   std::uint64_t writev_batches = 0;  ///< Flushes that coalesced >1 response.
   std::vector<std::uint64_t> loop_accepts;  ///< Connections landed per loop.
@@ -140,8 +128,10 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + spawn event loops and workers. Throws std::runtime_error
-  /// when the address cannot be bound. Idempotent once running.
+  /// Bind + listen + spawn event loops and workers. With more than one event
+  /// loop every loop binds its own SO_REUSEPORT listener. Throws
+  /// std::runtime_error when any listener cannot be bound. Idempotent once
+  /// running.
   void start();
 
   /// Stop accepting, drain workers, close every connection. Safe to call
@@ -152,9 +142,6 @@ class Server {
 
   /// Actual bound port (resolves port 0 after start()).
   std::uint16_t port() const noexcept { return port_.load(); }
-
-  /// Backend actually in use ("epoll" or "poll").
-  std::string_view backend_name() const noexcept;
 
   ServerStats stats() const;
 
@@ -222,19 +209,17 @@ class Server {
   ServerOptions options_;
   AsyncHandler handler_;
 
-  /// Create + bind + listen one nonblocking socket on options_.bind_address.
-  /// Returns the fd, or -1 with `error` set. `with_reuseport` must be set
-  /// before bind for accept sharding to engage.
-  int make_listen_socket(std::uint16_t port, bool with_reuseport, std::string& error);
+  /// Create + bind + listen one nonblocking socket on options_.bind_address,
+  /// with SO_REUSEPORT set before bind when `with_reuseport`. Throws
+  /// std::runtime_error on failure.
+  int make_listen_socket(std::uint16_t port, bool with_reuseport);
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> loops_exit_{false};
   std::atomic<std::uint16_t> port_{0};
-  bool reuseport_active_ = false;  ///< Sharded accept actually engaged.
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::size_t next_loop_ = 0;  ///< Round-robin deal cursor; fallback mode, loop 0 only.
   std::atomic<std::uint64_t> generation_counter_{0};
 
   std::vector<std::thread> workers_;

@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -259,6 +260,46 @@ TEST_F(ClusterRouter, ClusterRoutesAnswer404WhenClusteringIsOff) {
   EXPECT_EQ(c.get("/v1/cluster/ring").status, 404);
   EXPECT_EQ(c.get("/v1/cluster/owner/x").status, 404);
   plain.server->stop();
+}
+
+TEST(UpstreamPool, ForwardRacingStopCompletesEveryRequestOnce) {
+  // forward() wakes the reactor after releasing the submission lock, so its
+  // wakeup can race a concurrent stop(). Every callback must fire exactly
+  // once, the pool must restart cleanly, and under TSan the wakeup must not
+  // race the teardown of the fd it writes to.
+  Node peer;
+  peer.start(1);
+  cluster::UpstreamPool pool;
+  constexpr int kCycles = 30;
+  constexpr int kSenders = 3;
+  constexpr int kPerSender = 100;
+  std::atomic<int> fired{0};
+  std::atomic<int> ok{0};
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    pool.start();
+    std::vector<std::thread> senders;
+    for (int s = 0; s < kSenders; ++s) {
+      senders.emplace_back([&] {
+        for (int i = 0; i < kPerSender; ++i) {
+          serve::http::Request request;
+          request.method = "GET";
+          request.target = "/healthz";
+          pool.forward(peer.address, std::move(request),
+                       [&](bool success, serve::http::Response) {
+                         fired.fetch_add(1);
+                         if (success) ok.fetch_add(1);
+                       });
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (cycle % 5)));
+    pool.stop();
+    for (std::thread& sender : senders) sender.join();
+    EXPECT_EQ(fired.load(), (cycle + 1) * kSenders * kPerSender) << "cycle " << cycle;
+  }
+  EXPECT_GT(ok.load(), 0) << "no forward reached the peer";
+  EXPECT_EQ(pool.stats().connections_open, 0u);
+  peer.server->stop();
 }
 
 TEST(HttpClientDeadline, ConnectDeadlineFiresOnASaturatedBacklog) {

@@ -315,7 +315,6 @@ TEST_F(ServeE2E, MetricsExportBufferPoolAndWritevCounters) {
   EXPECT_NE(server->find("buffer_pool")->find("high_water"), nullptr);
   EXPECT_NE(server->find("writev_calls"), nullptr);
   EXPECT_NE(server->find("writev_batches"), nullptr);
-  EXPECT_NE(server->find("reuseport"), nullptr);
   ASSERT_NE(server->find("accept_loops"), nullptr);
   EXPECT_GE(server->find("writev_calls")->as_number(), 1.0);
 }

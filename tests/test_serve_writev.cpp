@@ -1,7 +1,7 @@
 // The vectored-write data path: WriteQueue iovec building and cursor
 // resume, BufferPool recycling accounting, byte-identity of responses
 // under forced short writes (socketpair), and pipelined-response
-// coalescing through the real server on the portable poll backend.
+// coalescing through the real server.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -339,13 +339,12 @@ TEST(Server, LargeResponseSurvivesShortWritesByteForByte) {
   EXPECT_GE(server.stats().writev_calls, 2u) << "expected a partial-write resume";
 }
 
-TEST(Server, PollBackendCoalescesPipelinedResponsesIntoOneWrite) {
+TEST(Server, PipelinedBurstCoalescesResponsesIntoOneWrite) {
   // Warm the handler EMA with a couple of ordinary requests so the inline
   // fast path opens, then pipeline four requests in one segment: the burst
   // must be answered in order and flushed as a coalesced vectored write
   // (writev_batches counts flushes that carried more than one response).
   ServerOptions options;
-  options.backend = PollerBackend::kPoll;
   options.event_threads = 1;
   Server server(options, [](const http::Request& request) {
     http::Response response;
@@ -353,7 +352,6 @@ TEST(Server, PollBackendCoalescesPipelinedResponsesIntoOneWrite) {
     return response;
   });
   server.start();
-  EXPECT_EQ(server.backend_name(), "poll");
 
   {
     http::Client client("127.0.0.1", server.port());
@@ -401,8 +399,8 @@ TEST(Server, PollBackendCoalescesPipelinedResponsesIntoOneWrite) {
 }
 
 TEST(Server, AcceptShardCountersSumToConnectionsAccepted) {
-  // Whether REUSEPORT sharding engaged or the runtime fell back to dealing
-  // from loop 0, per-loop accept counters must partition the total.
+  // Each loop accepts on its own SO_REUSEPORT listener; the per-loop accept
+  // counters must partition the total.
   ServerOptions options;
   options.event_threads = 2;
   Server server(options, [](const http::Request&) { return http::Response{}; });
@@ -421,9 +419,6 @@ TEST(Server, AcceptShardCountersSumToConnectionsAccepted) {
   std::uint64_t sum = 0;
   for (const std::uint64_t accepts : stats.loop_accepts) sum += accepts;
   EXPECT_EQ(sum, stats.connections_accepted);
-#ifdef SO_REUSEPORT
-  EXPECT_TRUE(stats.reuseport);
-#endif
 }
 
 }  // namespace
