@@ -95,6 +95,14 @@ void BM_FitWeiWeiMixture(benchmark::State& state) {
 }
 BENCHMARK(BM_FitWeiWeiMixture)->Unit(benchmark::kMillisecond);
 
+void BM_FitExpExpMixture(benchmark::State& state) {
+  const auto& ds = data::recession("1990-93");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::fit_model("mix-exp-exp-log", ds.series, ds.holdout));
+  }
+}
+BENCHMARK(BM_FitExpExpMixture)->Unit(benchmark::kMillisecond);
+
 void BM_PredictiveMetrics(benchmark::State& state) {
   const auto& ds = data::recession("1990-93");
   const auto fit = core::fit_model("competing-risks", ds.series, ds.holdout);

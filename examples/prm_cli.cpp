@@ -623,6 +623,10 @@ int run_serve(const CliArgs& args) {
   }
   std::cout << "prm_cli serve: shutting down\n";
   server.stop();  // stop accepting and drain the worker queue first
+  // A router's proxied requests still in flight upstream complete into the
+  // server: fail them now, while it exists. ~App would fail them after
+  // ~Server, into freed memory.
+  if (app.cluster() && app.cluster()->upstreams()) app.cluster()->upstreams()->stop();
   if (app.monitor().wal_enabled()) {
     app.monitor().shutdown();  // drain refits, final snapshot, seal + fsync
     std::cout << "prm_cli serve: wal checkpointed\n";

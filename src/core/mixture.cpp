@@ -1,12 +1,16 @@
 #include "core/mixture.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "numerics/autodiff.hpp"
 #include "numerics/simd.hpp"
 #include "numerics/simd_math.hpp"
 #include "numerics/special_functions.hpp"
+#include "optimize/golden_section.hpp"
+#include "optimize/multistart.hpp"
 
 namespace prm::core {
 
@@ -426,6 +430,217 @@ void family_box(Family f, double horizon, std::vector<double>* lo, std::vector<d
   }
 }
 
+// --- Exp-Exp starts by variable projection ----------------------------------
+
+// out[i] = F(t[i]) = 1 - e^{-rate t[i]} of an Exponential CDF (0 at t <= 0),
+// with the batch kernel's operations, in 4-lane chunks.
+template <typename Pack>
+void exp_cdf_column(std::span<const double> t, double rate, double* out) {
+  const Pack r = Pack::broadcast(rate);
+  const Pack zero = Pack::broadcast(0.0);
+  const auto chunk = [&](Pack tv) {
+    return select(cmp_gt(tv, zero), -num::simd_expm1(-(r * tv)), zero);
+  };
+  std::size_t i = 0;
+  for (; i + Pack::width <= t.size(); i += Pack::width) {
+    chunk(Pack::load(t.data() + i)).store(out + i);
+  }
+  if (i < t.size()) {
+    double pad[Pack::width] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t k = i; k < t.size(); ++k) pad[k - i] = t[k];
+    chunk(Pack::load(pad)).store(pad);
+    for (std::size_t k = i; k < t.size(); ++k) out[k] = pad[k - i];
+  }
+}
+
+void exp_cdf_column(std::span<const double> t, double rate, double* out) {
+  if (num::batch_simd_enabled()) {
+    exp_cdf_column<num::f64x4>(t, rate, out);
+  } else {
+    exp_cdf_column<num::f64x4_generic>(t, rate, out);
+  }
+}
+
+// The scan's shape: kRateGrid log-spaced recovery rates over rate * t in
+// [0.05, 5] at the window's ends (rate in [0.05 / t_max, 5 / t_min]), and
+// kDecayGrid degradation rates over [0.001 / t_max, 5 / t_min], which also
+// covers declines of a few tenths of a percent over the window;
+// kGoldenSteps golden-section steps per profiled row; kExactSeeds starts.
+constexpr std::size_t kRateGrid = 24;
+constexpr std::size_t kDecayGrid = 34;
+constexpr int kGoldenSteps = 20;
+constexpr std::size_t kExactSeeds = 2;
+// A recovery rate with rate * t_min >= ~37 makes -expm1(-rate t) exactly 1.0
+// at every sample, and its gradient exactly 0: the finite stand-in for the
+// step limit rate -> infinity, which LM then never moves.
+constexpr double kStepRateTimesTmin = 40.0;
+
+// Least-squares starts for the Exp-Exp mixture with a linear-in-beta trend,
+// by variable projection (Golub & Pereyra 1973). The curve
+//   P(t) = e^{-l1 t} + beta g(t) (1 - e^{-l2 t})
+// is linear in beta, so for fixed rates the best beta >= 0 is the clamped
+// one-column fit beta* = max(<y - s, c>/<c, c>, 0) with s = e^{-l1 t} and
+// c = g (1 - e^{-l2 t}). The profile SSE is scanned on a log grid of rates,
+// with the step limit as one more l2 row. Each l2 row's best l1 on the grid
+// gives a row profile over l2. From each local minimum of that profile the
+// search descends on the profiled rows, where l1 is refined by golden
+// section, to a local minimum of their SSE. l1 must be profiled per row
+// because its basin is narrow: a single best point of the grid can sit on
+// the ridge l2 -> 0, beta -> infinity (beta l2 fixed: the slope limit
+// t ln t) far from the optimum, and one grid cell of l1 can change a row's
+// SSE fourfold. Returns the best kExactSeeds of those minima as
+// [l1, l2, beta], best first, with beta clipped into its positive bound.
+std::vector<num::Vector> exp_exp_variable_projection(const data::PerformanceSeries& fit,
+                                                     RecoveryTrend trend) {
+  const std::span<const double> t = fit.times();
+  const std::span<const double> y = fit.values();
+  const std::size_t n = t.size();
+  double t_min = std::numeric_limits<double>::infinity();
+  double t_max = 0.0;
+  for (double ti : t) {
+    if (ti > 0.0) {
+      t_min = std::min(t_min, ti);
+      t_max = std::max(t_max, ti);
+    }
+  }
+  if (!(t_max > 0.0)) t_min = t_max = 1.0;  // constant curve: any rates fit
+
+  // The l2 rows: the grid, then the step-limit rate as row kRateGrid.
+  constexpr std::size_t kRows = kRateGrid + 1;
+  double rates[kRows];
+  const double log_hi = std::log(5.0 / t_min);
+  const double log_lo2 = std::log(0.05 / t_max);
+  for (std::size_t j = 0; j < kRateGrid; ++j) {
+    rates[j] = std::exp(log_lo2 + static_cast<double>(j) * (log_hi - log_lo2) / (kRateGrid - 1));
+  }
+  rates[kRateGrid] = kStepRateTimesTmin / t_min;
+  // The l1 columns, at log(decay[k]) = log_lo + k log_step.
+  const double log_lo = std::log(0.001 / t_max);
+  const double log_step = (log_hi - log_lo) / (kDecayGrid - 1);
+  double decay[kDecayGrid];
+  for (std::size_t k = 0; k < kDecayGrid; ++k) {
+    decay[k] = std::exp(log_lo + static_cast<double>(k) * log_step);
+  }
+
+  // Recovery columns c[j] = g F(l2 = rates[j]), stored sample-major so that
+  // the cross products below run over contiguous rows.
+  std::vector<double> g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    g[i] = t[i] > 0.0 ? MixtureModel::trend_basis(trend, t[i]) : 0.0;
+  }
+  std::vector<double> f(n);
+  std::vector<double> c(n * kRows);
+  double yc[kRows] = {};
+  double cc[kRows] = {};
+  for (std::size_t j = 0; j < kRows; ++j) {
+    exp_cdf_column(t, rates[j], f.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const double cij = g[i] * f[i];
+      c[i * kRows + j] = cij;
+      yc[j] += y[i] * cij;
+      cc[j] += cij * cij;
+    }
+  }
+
+  // Grid row profile: with d = y - s, the SSE at beta* is |d|^2 - beta* <d, c>.
+  double row_sse[kRows];
+  std::size_t row_arg[kRows] = {};
+  std::fill(row_sse, row_sse + kRows, std::numeric_limits<double>::infinity());
+  for (std::size_t k = 0; k < kDecayGrid; ++k) {
+    exp_cdf_column(t, decay[k], f.data());
+    double dd = 0.0;
+    double sc[kRows] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      const double s = 1.0 - f[i];
+      dd += (y[i] - s) * (y[i] - s);
+      for (std::size_t j = 0; j < kRows; ++j) sc[j] += s * c[i * kRows + j];
+    }
+    for (std::size_t j = 0; j < kRows; ++j) {
+      const double dc = yc[j] - sc[j];
+      const double beta = cc[j] > 0.0 ? std::max(dc / cc[j], 0.0) : 0.0;
+      const double sse = dd - beta * dc;
+      if (sse < row_sse[j]) {
+        row_sse[j] = sse;
+        row_arg[j] = k;
+      }
+    }
+  }
+
+  // The exact profile of row j at degradation rate l1, summed from the
+  // residuals (the expanded form above cancels to noise near an exact fit).
+  struct Point {
+    double sse = std::numeric_limits<double>::infinity();
+    double l1 = 0.0;
+    double beta = 0.0;
+  };
+  std::vector<double> d(n);
+  const auto profile = [&](std::size_t j, double l1) {
+    exp_cdf_column(t, l1, f.data());
+    double dc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      d[i] = y[i] - (1.0 - f[i]);
+      dc += d[i] * c[i * kRows + j];
+    }
+    Point p;
+    p.l1 = l1;
+    p.beta = cc[j] > 0.0 ? std::max(dc / cc[j], 0.0) : 0.0;
+    p.sse = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double r = d[i] - p.beta * c[i * kRows + j];
+      p.sse += r * r;
+    }
+    return p;
+  };
+  // Row j profiled: golden section over log l1 within one grid cell either
+  // side of the row's best grid rate, kept only when it beats that rate.
+  Point profiled[kRows];
+  bool done[kRows] = {};
+  const auto refine = [&](std::size_t j) -> const Point& {
+    if (!done[j]) {
+      const std::size_t k = row_arg[j];
+      const double lo = log_lo + static_cast<double>(k > 0 ? k - 1 : k) * log_step;
+      const double hi = log_lo + static_cast<double>(std::min(k + 1, kDecayGrid - 1)) * log_step;
+      const opt::GoldenResult golden = opt::golden_section(
+          [&](double x) { return profile(j, std::exp(x)).sse; }, lo, hi, /*x_tol=*/0.0,
+          kGoldenSteps);
+      const Point at_grid = profile(j, decay[k]);
+      const Point at_golden = profile(j, std::exp(golden.x));
+      profiled[j] = at_golden.sse < at_grid.sse ? at_golden : at_grid;
+      done[j] = true;
+    }
+    return profiled[j];
+  };
+
+  // Local minima of the grid row profile; a flat run counts once, at its
+  // start (a clamped beta* = 0 makes every row alike). From each, descend on
+  // the profiled rows to a local minimum of theirs.
+  std::vector<std::size_t> minima;
+  for (std::size_t m = 0; m < kRows; ++m) {
+    const bool below_left = m == 0 || row_sse[m] < row_sse[m - 1];
+    const bool not_above_right = m + 1 == kRows || row_sse[m] <= row_sse[m + 1];
+    if (!below_left || !not_above_right) continue;
+    std::size_t j = m;
+    for (;;) {
+      std::size_t next = j;
+      if (j > 0 && refine(j - 1).sse < refine(next).sse) next = j - 1;
+      if (j + 1 < kRows && refine(j + 1).sse < refine(next).sse) next = j + 1;
+      if (next == j) break;
+      j = next;
+    }
+    if (std::find(minima.begin(), minima.end(), j) == minima.end()) minima.push_back(j);
+  }
+  std::stable_sort(minima.begin(), minima.end(), [&](std::size_t a, std::size_t b) {
+    return profiled[a].sse < profiled[b].sse;
+  });
+  if (minima.size() > kExactSeeds) minima.resize(kExactSeeds);
+
+  std::vector<num::Vector> seeds;
+  for (std::size_t j : minima) {
+    seeds.push_back({profiled[j].l1, rates[j], std::max(profiled[j].beta, 1e-12)});
+  }
+  return seeds;
+}
+
 }  // namespace
 
 MixtureModel::MixtureModel(MixtureSpec spec)
@@ -555,6 +770,15 @@ void MixtureModel::eval_batch(std::span<const double> t, const num::Vector& p,
   if (out.size() != t.size()) {
     throw std::invalid_argument("eval_batch: out size must match t size");
   }
+  if (has_exact_starts() &&
+      !std::all_of(p.begin(), p.end(), [](double x) { return std::isfinite(x); })) {
+    // A rate or beta that overflowed is no curve: the NaN makes LM reject the
+    // step that overflowed it. The step limit of the recovery rate is reached
+    // at a finite rate (see kStepRateTimesTmin), so no fit needs an infinite
+    // parameter.
+    std::fill(out.begin(), out.end(), std::numeric_limits<double>::quiet_NaN());
+    return;
+  }
   if (num::batch_simd_enabled()) {
     mixture_batch<num::f64x4, false>(spec_, n1_, n2_, p.data(), t, out.data(), nullptr);
   } else {
@@ -575,8 +799,14 @@ void MixtureModel::gradient_batch(std::span<const double> t, const num::Vector& 
   }
 }
 
+bool MixtureModel::has_exact_starts() const {
+  return spec_.degradation == Family::kExponential && spec_.recovery == Family::kExponential &&
+         spec_.trend != RecoveryTrend::kExponential && !has_theta();
+}
+
 std::vector<num::Vector> MixtureModel::initial_guesses(
     const data::PerformanceSeries& fit) const {
+  if (has_exact_starts()) return exp_exp_variable_projection(fit, spec_.trend);
   const double td = fit.trough_time();
   const double tn = std::max(fit.times().back(), 2.0);
   const double vn = fit.values().back();
@@ -639,6 +869,19 @@ std::pair<num::Vector, num::Vector> MixtureModel::search_box(
     hi.push_back(0.5);
   }
   return {num::Vector(lo.begin(), lo.end()), num::Vector(hi.begin(), hi.end())};
+}
+
+void MixtureModel::tune_multistart(opt::MultistartOptions& options,
+                                   const FitObjective& objective) const {
+  if (!has_exact_starts() || !objective.plain_sse) return;
+  // LM from the exact starts, with no sampled or jittered starts and no
+  // polish. The tighter gradient tolerance stands in for the polish: at the
+  // default 1e-10 LM stops up to ~2e-8 relative above the optimum.
+  options.sampled_starts = 0;
+  options.jitter_per_start = 0;
+  options.polish_with_nelder_mead = false;
+  options.warm_start.clear();
+  options.lm.gradient_tol = std::min(options.lm.gradient_tol, 1e-14);
 }
 
 }  // namespace prm::core

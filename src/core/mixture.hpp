@@ -90,6 +90,12 @@ class MixtureModel final : public ResilienceModel {
   std::pair<num::Vector, num::Vector> search_box(
       const data::PerformanceSeries& fit_window) const override;
 
+  /// Exp-Exp with a linear-in-beta trend and a1 = 1 only: under the plain
+  /// SSE, LM runs from the exact starts alone (no sampled or jittered starts,
+  /// no polish, warm seed declined, gradient tolerance 1e-14).
+  void tune_multistart(opt::MultistartOptions& options,
+                       const FitObjective& objective) const override;
+
   std::unique_ptr<ResilienceModel> clone() const override {
     return std::make_unique<MixtureModel>(*this);
   }
@@ -101,6 +107,9 @@ class MixtureModel final : public ResilienceModel {
 
  private:
   bool has_theta() const { return spec_.a1 == DegradationTrend::kExpDecay; }
+  /// F1 = F2 = Exponential, a trend linear in beta and a1 = 1: the
+  /// initial guesses are exact variable-projection starts.
+  bool has_exact_starts() const;
 
   MixtureSpec spec_;
   std::size_t n1_;  ///< F1 parameter count

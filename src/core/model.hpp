@@ -93,16 +93,18 @@ class ResilienceModel {
   virtual std::optional<double> trough_closed_form(const num::Vector& params) const;
 
   /// Hook for models whose initial_guesses() embed their own exploration
-  /// (e.g. the nn family's Adam multistart) or provably suffice for the
-  /// objective being minimized (the quadratic's first guess is its exact
-  /// linear least-squares fit; competing-risks' is its variable-projection
-  /// optimum): fit_model() passes its solver options and the objective
-  /// through this before running, so such a model can cap the generic
-  /// sampled/jittered start budget and the polish of the multistart winner.
-  /// A model whose first guess is the optimum of the objective may also
-  /// clear `warm_start`, so that a refit runs the exact start instead of the
-  /// previous solution. Default: leave the options unchanged. Models must not
-  /// set the warm-start or touch the threading fields.
+  /// (e.g. the nn family's Adam multistart) or suffice for the objective
+  /// being minimized (the quadratic's first guess is its exact linear
+  /// least-squares fit; competing-risks' is its variable-projection optimum;
+  /// the Exp-Exp mixture's are the best two minima of its variable-
+  /// projection profile): fit_model() passes its solver options and the
+  /// objective through this before running, so such a model can cap the
+  /// generic sampled/jittered start budget and the polish of the multistart
+  /// winner, and tighten the LM tolerances. A model whose guesses start LM
+  /// in the optimum's basin may also clear `warm_start`, so that a refit
+  /// runs the exact starts instead of the previous solution. Default: leave
+  /// the options unchanged. Models must not set the warm-start or touch the
+  /// threading fields.
   virtual void tune_multistart(opt::MultistartOptions& options,
                                const FitObjective& objective) const;
 

@@ -12,6 +12,9 @@
 //    stream keeps answering 200 -- the CI smoke leg's contract.
 //  * node, router, and a bare ring all agree on ownership over HTTP (the
 //    determinism wire contract).
+//  * A router torn down as prm_cli serve does it (server stopped, then its
+//    upstream pool, then the server and the app destroyed) with a proxied
+//    request still in flight touches no freed memory.
 //  * http::Client's connect deadline fires instead of hanging (satellite of
 //    the same change: the catch-up client must not block on a dead peer).
 #include <gtest/gtest.h>
@@ -25,7 +28,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -56,6 +61,14 @@ struct Node {
     server->start();
     address = "127.0.0.1:" + std::to_string(server->port());
   }
+
+  /// prm_cli serve's teardown: stop the server, then fail a router's
+  /// requests still in flight upstream while the server can take their
+  /// completions. The members are then destroyed server first.
+  void stop() {
+    server->stop();
+    if (app->cluster() && app->cluster()->upstreams()) app->cluster()->upstreams()->stop();
+  }
 };
 
 class ClusterRouter : public ::testing::Test {
@@ -83,9 +96,9 @@ class ClusterRouter : public ::testing::Test {
   }
 
   void TearDown() override {
-    router_.server->stop();
-    if (node2_up_) node2_.server->stop();
-    node1_.server->stop();
+    router_.stop();
+    if (node2_up_) node2_.stop();
+    node1_.stop();
   }
 
   /// A stream name the ring maps to `owner` (deterministic, so every test
@@ -260,6 +273,64 @@ TEST_F(ClusterRouter, ClusterRoutesAnswer404WhenClusteringIsOff) {
   EXPECT_EQ(c.get("/v1/cluster/ring").status, 404);
   EXPECT_EQ(c.get("/v1/cluster/owner/x").status, 404);
   plain.server->stop();
+}
+
+TEST(ClusterShutdown, RouterTeardownWithAProxiedRequestInFlight) {
+  // A peer that parks every completion, so the proxied request is still in
+  // flight upstream when the router goes down. Destroying the router's
+  // Server before its App used to fail that request into the freed Server
+  // (ASan: heap-use-after-free in Server::record_status).
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<serve::Server::Completion> parked;
+  serve::ServerOptions peer_options;
+  peer_options.port = 0;
+  peer_options.threads = 1;
+  serve::Server peer(peer_options,
+                     serve::Server::AsyncHandler(
+                         [&](const serve::http::Request&, serve::Server::Completion done) {
+                           std::lock_guard<std::mutex> lock(m);
+                           parked.push_back(std::move(done));
+                           cv.notify_all();
+                         }));
+  peer.start();
+
+  Node router;
+  router.start();
+  cluster::ClusterOptions options;
+  options.peers = {"127.0.0.1:" + std::to_string(peer.port())};
+  options.router = true;
+  router.app->enable_cluster(options);
+
+  // The client sends one GET and never reads: its answer can only come after
+  // teardown has begun.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(router.server->port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request = "GET /v1/streams/x HTTP/1.1\r\nHost: router\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  {
+    std::unique_lock<std::mutex> lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return !parked.empty(); }))
+        << "the proxied request never reached the peer";
+  }
+
+  router.stop();
+  EXPECT_EQ(router.app->cluster()->upstreams()->stats().connections_open, 0u);
+  router.server.reset();
+  router.app.reset();
+  ::close(fd);
+
+  std::lock_guard<std::mutex> lock(m);
+  EXPECT_EQ(parked.size(), 1u);
+  for (serve::Server::Completion& done : parked) done(serve::http::Response{});
+  parked.clear();
+  peer.stop();
 }
 
 TEST(UpstreamPool, ForwardRacingStopCompletesEveryRequestOnce) {
