@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -9,7 +11,7 @@
 #include "numerics/linalg.hpp"
 #include "numerics/polynomial.hpp"
 #include "numerics/simd.hpp"
-#include "optimize/golden_section.hpp"
+#include "optimize/brent.hpp"
 #include "optimize/multistart.hpp"
 
 namespace prm::core {
@@ -119,12 +121,84 @@ void competing_risks_grad_kernel(std::span<const double> t, const double* p,
   }
 }
 
+// The competing-risks fit at one beta: alpha and gamma >= 0 solved exactly,
+// and the SSE at them.
+struct CompetingRisksLinear {
+  double alpha = 0.0;
+  double gamma = 0.0;
+  double sse = 0.0;
+};
+
+// Exact non-negative least squares for (alpha, gamma) at a fixed beta, in
+// 4-lane packs with a scalar tail: the 2x2 normal equations, or the better
+// one-column fit when a sign is violated. gg and gy are the beta-free sums of
+// the gamma column 2t; f receives the alpha column 1/(1 + beta t). The SSE is
+// summed from the residuals: the expanded normal-equation form cancels to
+// noise near an exact fit.
+template <typename Pack>
+CompetingRisksLinear competing_risks_solve(std::span<const double> t,
+                                           std::span<const double> y, double gg, double gy,
+                                           double beta, double* f) {
+  const std::size_t n = t.size();
+  const Pack b = Pack::broadcast(beta);
+  const Pack one = Pack::broadcast(1.0);
+  const Pack two = Pack::broadcast(2.0);
+  Pack ff_v = Pack::broadcast(0.0);
+  Pack fg_v = ff_v;
+  Pack fy_v = ff_v;
+  std::size_t i = 0;
+  for (; i + Pack::width <= n; i += Pack::width) {
+    const Pack tv = Pack::load(t.data() + i);
+    const Pack fv = one / (one + b * tv);
+    fv.store(f + i);
+    ff_v = ff_v + fv * fv;
+    fg_v = fg_v + fv * (two * tv);
+    fy_v = fy_v + fv * Pack::load(y.data() + i);
+  }
+  double ff = num::lane_sum(ff_v);
+  double fg = num::lane_sum(fg_v);
+  double fy = num::lane_sum(fy_v);
+  for (std::size_t k = i; k < n; ++k) {
+    f[k] = 1.0 / (1.0 + beta * t[k]);
+    ff += f[k] * f[k];
+    fg += f[k] * (2.0 * t[k]);
+    fy += f[k] * y[k];
+  }
+  const double det = ff * gg - fg * fg;
+  double a = det > 0.0 ? (fy * gg - gy * fg) / det : -1.0;
+  double c = det > 0.0 ? (ff * gy - fg * fy) / det : -1.0;
+  if (!(a >= 0.0 && c >= 0.0)) {
+    // A sign is violated, so the optimum lies on a face of the orthant:
+    // the one-column fit that lowers the SSE more (by a * fy or c * gy).
+    a = std::max(fy / ff, 0.0);
+    c = gg > 0.0 ? std::max(gy / gg, 0.0) : 0.0;
+    if (c * gy > a * fy) {
+      a = 0.0;
+    } else {
+      c = 0.0;
+    }
+  }
+  const Pack av = Pack::broadcast(a);
+  const Pack cv = Pack::broadcast(c);
+  Pack sse_v = Pack::broadcast(0.0);
+  for (std::size_t k = 0; k < i; k += Pack::width) {
+    const Pack r = Pack::load(y.data() + k) - av * Pack::load(f + k) -
+                   cv * (two * Pack::load(t.data() + k));
+    sse_v = sse_v + r * r;
+  }
+  double sse = num::lane_sum(sse_v);
+  for (std::size_t k = i; k < n; ++k) {
+    const double r = y[k] - a * f[k] - c * (2.0 * t[k]);
+    sse += r * r;
+  }
+  return {a, c, sse};
+}
+
 // Least-squares fit of the competing-risks curve by variable projection
 // (Golub & Pereyra 1973). The curve is linear in alpha and gamma, so for each
-// beta they are solved exactly with alpha, gamma >= 0 (the 2x2 normal
-// equations, or the better one-column fit when a sign is violated); beta is
-// found by a log-spaced scan of beta * t_max over [1e-4, 1e4] refined by
-// golden section, or is the beta -> 0 limit when that fits better. Returns
+// beta they are solved exactly (competing_risks_solve); beta is found by a
+// log-spaced scan of beta * t_max over [1e-4, 1e4] refined by Brent's
+// method, or is the beta -> 0 limit when that fits better. Returns
 // [alpha, beta, gamma], each possibly 0.
 num::Vector competing_risks_variable_projection(const data::PerformanceSeries& fit) {
   const std::span<const double> t = fit.times();
@@ -142,45 +216,11 @@ num::Vector competing_risks_variable_projection(const data::PerformanceSeries& f
   }
   t_span = std::max(t_span, 1e-12);
 
-  struct Linear {
-    double alpha = 0.0;
-    double gamma = 0.0;
-    double sse = 0.0;
-  };
-  // Exact non-negative least squares for (alpha, gamma) at a fixed beta. The
-  // SSE is summed from the residuals: the expanded normal-equation form
-  // cancels to noise near an exact fit.
   std::vector<double> f(t.size());
+  const bool simd = num::batch_simd_enabled();
   const auto solve = [&](double beta) {
-    double ff = 0.0;
-    double fg = 0.0;
-    double fy = 0.0;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      f[i] = 1.0 / (1.0 + beta * t[i]);
-      ff += f[i] * f[i];
-      fg += f[i] * (2.0 * t[i]);
-      fy += f[i] * y[i];
-    }
-    const double det = ff * gg - fg * fg;
-    double a = det > 0.0 ? (fy * gg - gy * fg) / det : -1.0;
-    double c = det > 0.0 ? (ff * gy - fg * fy) / det : -1.0;
-    if (!(a >= 0.0 && c >= 0.0)) {
-      // A sign is violated, so the optimum lies on a face of the orthant:
-      // the one-column fit that lowers the SSE more (by a * fy or c * gy).
-      a = std::max(fy / ff, 0.0);
-      c = gg > 0.0 ? std::max(gy / gg, 0.0) : 0.0;
-      if (c * gy > a * fy) {
-        a = 0.0;
-      } else {
-        c = 0.0;
-      }
-    }
-    double sse = 0.0;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const double r = y[i] - a * f[i] - c * (2.0 * t[i]);
-      sse += r * r;
-    }
-    return Linear{a, c, sse};
+    return simd ? competing_risks_solve<num::f64x4>(t, y, gg, gy, beta, f.data())
+                : competing_risks_solve<num::f64x4_generic>(t, y, gg, gy, beta, f.data());
   };
 
   // Profile SSE over log(beta), with beta * t_max in [1e-4, 1e4]; negative
@@ -188,13 +228,13 @@ num::Vector competing_risks_variable_projection(const data::PerformanceSeries& f
   const double lo = std::log(1e-4 / t_span);
   double hi = std::log(1e4 / t_span);
   if (t_min < 0.0) hi = std::max(lo, std::min(hi, std::log(0.5 / -t_min)));
-  const opt::GoldenResult best = opt::scan_then_golden(
+  const opt::BrentResult best = opt::scan_then_brent(
       [&solve](double log_beta) { return solve(std::exp(log_beta)).sse; }, lo, hi,
       /*samples=*/33, /*x_tol=*/1e-8);
   // The scan stops short of beta -> 0, where the curve becomes the line
   // alpha + 2 gamma t; that limit is the optimum of some windows.
   const double beta = solve(0.0).sse < best.fx ? 0.0 : std::exp(best.x);
-  const Linear linear = solve(beta);
+  const CompetingRisksLinear linear = solve(beta);
   return {linear.alpha, beta, linear.gamma};
 }
 
@@ -243,43 +283,79 @@ void QuadraticBathtubModel::gradient_batch(std::span<const double> t, const num:
   }
 }
 
+namespace {
+// Least-squares fit of Eq. 1 on the coefficients in `free` (a bit mask over
+// alpha, beta, gamma; the others are 0), or nullopt for a rank-deficient
+// design.
+std::optional<num::Vector> quadratic_ls_on(const data::PerformanceSeries& fit, unsigned free) {
+  std::size_t cols = 0;
+  for (unsigned k = 0; k < 3; ++k) cols += (free >> k) & 1u;
+  if (cols == 0) return num::Vector(3, 0.0);
+  num::Matrix a(fit.size(), cols);
+  num::Vector b(fit.size());
+  for (std::size_t i = 0; i < fit.size(); ++i) {
+    const double t = fit.time(i);
+    const double column[3] = {1.0, t, t * t};
+    std::size_t c = 0;
+    for (unsigned k = 0; k < 3; ++k) {
+      if ((free >> k) & 1u) a(i, c++) = column[k];
+    }
+    b[i] = fit.value(i);
+  }
+  const auto x = num::qr_solve(a, b);
+  if (!x) return std::nullopt;
+  num::Vector p(3, 0.0);
+  std::size_t c = 0;
+  for (unsigned k = 0; k < 3; ++k) {
+    if ((free >> k) & 1u) p[k] = (*x)[c++];
+  }
+  return p;
+}
+
+bool has_bathtub_signs(const num::Vector& p, bool strict) {
+  return strict ? p[0] > 0.0 && p[1] < 0.0 && p[2] > 0.0
+                : p[0] >= 0.0 && p[1] <= 0.0 && p[2] >= 0.0;
+}
+}  // namespace
+
 num::Vector QuadraticBathtubModel::linear_ls_fit(const data::PerformanceSeries& fit) {
   if (fit.size() < 3) {
     throw std::invalid_argument("quadratic::linear_ls_fit: need at least 3 samples");
   }
-  num::Matrix a(fit.size(), 3);
-  num::Vector b(fit.size());
-  for (std::size_t i = 0; i < fit.size(); ++i) {
-    const double t = fit.time(i);
-    a(i, 0) = 1.0;
-    a(i, 1) = t;
-    a(i, 2) = t * t;
-    b[i] = fit.value(i);
-  }
-  const auto x = num::qr_solve(a, b);
+  const auto x = quadratic_ls_on(fit, 0b111);
   if (!x) throw std::runtime_error("quadratic::linear_ls_fit: rank-deficient design");
   return *x;
 }
 
 std::vector<num::Vector> QuadraticBathtubModel::initial_guesses(
     const data::PerformanceSeries& fit) const {
-  std::vector<num::Vector> guesses;
-
-  // Exact unconstrained LS solution, projected into the sign constraints.
-  num::Vector ls = linear_ls_fit(fit);
-  ls[0] = std::max(ls[0], 1e-6);
-  ls[1] = std::min(ls[1], -1e-9);
-  ls[2] = std::max(ls[2], 1e-12);
-  guesses.push_back(ls);
-
-  // Geometry-driven guess: vertex at the observed trough.
-  const double td = std::max(fit.trough_time(), 1.0);
-  const double vmin = fit.trough_value();
-  const double v0 = fit.value(0);
-  // P(t) = vmin + g (t - td)^2 => alpha = vmin + g td^2, beta = -2 g td.
-  const double g = std::max((v0 - vmin) / (td * td), 1e-10);
-  guesses.push_back({vmin + g * td * td, -2.0 * g * td, g});
-  return guesses;
+  num::Vector best = linear_ls_fit(fit);
+  if (!has_bathtub_signs(best, /*strict=*/true)) {
+    // The objective is convex, so its optimum over the closed sign orthant
+    // is the unconstrained fit on one face (the coefficients outside `free`
+    // held at 0) that keeps the signs: the best of the 7 face fits that do.
+    // The empty face (all 0) always does.
+    best.assign(3, 0.0);
+    double best_sse = std::numeric_limits<double>::infinity();
+    for (unsigned free = 0; free < 0b111; ++free) {
+      const auto p = quadratic_ls_on(fit, free);
+      if (!p || !has_bathtub_signs(*p, /*strict=*/false)) continue;
+      double sse = 0.0;
+      for (std::size_t i = 0; i < fit.size(); ++i) {
+        const double r = fit.value(i) - quadratic_curve<double>(fit.time(i), *p);
+        sse += r * r;
+      }
+      if (sse < best_sse) {
+        best_sse = sse;
+        best = *p;
+      }
+    }
+    // Clip into the sign bounds, as fit_model does.
+    if (!(best[0] >= 1e-12)) best[0] = 1e-12;
+    if (!(best[1] <= -1e-12)) best[1] = -1e-12;
+    if (!(best[2] >= 1e-12)) best[2] = 1e-12;
+  }
+  return {best};
 }
 
 std::pair<num::Vector, num::Vector> QuadraticBathtubModel::search_box(
@@ -324,8 +400,8 @@ void QuadraticBathtubModel::tune_multistart(opt::MultistartOptions& options,
                                             const FitObjective& objective) const {
   // The bound transforms are monotone per coordinate, so they add no
   // stationary points to a convex objective (Eq. 1 is linear in the
-  // parameters): LM from the projected exact LS guess reaches its one
-  // minimum. Cauchy's redescending loss is not convex and has several.
+  // parameters): LM from the exact guess reaches its one minimum. Cauchy's
+  // redescending loss is not convex and has several.
   if (!objective.convex_loss) return;
   options.sampled_starts = 0;
   options.jitter_per_start = 0;

@@ -43,6 +43,11 @@ class QuadraticBathtubModel final : public ResilienceModel {
   void gradient_batch(std::span<const double> t, const num::Vector& params,
                       num::Matrix* out) const override;
 
+  /// One guess: the exact least-squares fit under the bathtub signs
+  /// (alpha > 0, beta < 0, gamma > 0). That is the unconstrained fit when it
+  /// has those signs, else the best fit on a face of the sign orthant (some
+  /// coefficients 0, the others keeping their signs), clipped into the
+  /// bounds.
   std::vector<num::Vector> initial_guesses(
       const data::PerformanceSeries& fit_window) const override;
   std::pair<num::Vector, num::Vector> search_box(
@@ -54,11 +59,10 @@ class QuadraticBathtubModel final : public ResilienceModel {
                                                   double after) const override;
   std::optional<double> trough_closed_form(const num::Vector& params) const override;
 
-  /// Under a convex loss (squared or Huber, weighted or not) the guesses
-  /// suffice: the first one is the exact linear least-squares fit, and the
-  /// objective is convex over the sign region, so no jittered or sampled
-  /// start and no polish can reach a lower minimum. Cauchy keeps the full
-  /// start set.
+  /// Under a convex loss (squared or Huber, weighted or not) the guess
+  /// suffices: the objective is convex over the sign region, so no jittered
+  /// or sampled start and no polish can reach a lower minimum, and for the
+  /// plain SSE LM starts at the optimum. Cauchy keeps the full start set.
   void tune_multistart(opt::MultistartOptions& options,
                        const FitObjective& objective) const override;
 
@@ -70,8 +74,8 @@ class QuadraticBathtubModel final : public ResilienceModel {
   /// -2 sqrt(alpha gamma) < beta < 0 (positive hazard with interior minimum).
   static bool is_bathtub(const num::Vector& params);
 
-  /// Exact unconstrained linear least-squares polynomial fit (degree 2) used
-  /// as the primary initial guess; exposed for tests.
+  /// Exact unconstrained linear least-squares polynomial fit (degree 2), the
+  /// initial guess when it has the bathtub signs; exposed for tests.
   static num::Vector linear_ls_fit(const data::PerformanceSeries& fit_window);
 };
 
@@ -102,7 +106,7 @@ class CompetingRisksModel final : public ResilienceModel {
   /// One guess: the least-squares optimum by variable projection (Golub &
   /// Pereyra 1973), clipped into the positive bounds. The curve is linear in
   /// alpha and gamma, so they are solved exactly (alpha, gamma >= 0) at each
-  /// beta of a log-spaced scan refined by golden section.
+  /// beta of a log-spaced scan refined by Brent's method.
   std::vector<num::Vector> initial_guesses(
       const data::PerformanceSeries& fit_window) const override;
   std::pair<num::Vector, num::Vector> search_box(

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "numerics/roots.hpp"
-#include "optimize/golden_section.hpp"
+#include "optimize/brent.hpp"
 #include "stats/confidence.hpp"
 #include "stats/goodness_of_fit.hpp"
 
@@ -117,7 +117,7 @@ std::optional<double> EnsembleFit::recovery_time(double level, double after,
 double EnsembleFit::trough_time() const {
   const double horizon = std::max(series().times().back(), 1.0);
   const auto f = [this](double t) { return evaluate(t); };
-  return opt::scan_then_golden(f, 0.0, horizon, 256).x;
+  return opt::scan_then_brent(f, 0.0, horizon, 256).x;
 }
 
 EnsembleFit fit_ensemble(const std::vector<std::string>& model_names,

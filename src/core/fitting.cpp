@@ -1,6 +1,8 @@
 #include "core/fitting.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace prm::core {
@@ -77,12 +79,19 @@ FitResult fit_model(const ResilienceModel& model, const data::PerformanceSeries&
   // through the model's SIMD batch kernel. The thread_local scratch vectors
   // make the hot form allocation-free after each pool thread's first call;
   // that is safe because fits never recurse into their own residual closures
-  // and the buffers carry no state between calls.
+  // and the buffers carry no state between calls. A parameter that overflowed
+  // (e^u = inf for a positive bound) is no curve, even where the model's
+  // curve stays finite there (a CDF saturates at 1): its residuals are NaN,
+  // so LM rejects the step instead of ending on an infinite parameter.
   const auto residuals_into = [&model, &fit_window, &transform, sqrt_w](
                                   const num::Vector& u, num::Vector& out) {
     thread_local num::Vector p_ext;
     transform.to_external_into(u, &p_ext);
     out.resize(fit_window.size());
+    if (!std::all_of(p_ext.begin(), p_ext.end(), [](double p) { return std::isfinite(p); })) {
+      std::fill(out.begin(), out.end(), std::numeric_limits<double>::quiet_NaN());
+      return;
+    }
     model.eval_batch(fit_window.times(), p_ext, out);
     for (std::size_t i = 0; i < out.size(); ++i) {
       double r = fit_window.value(i) - out[i];
@@ -135,16 +144,18 @@ FitResult fit_model(const ResilienceModel& model, const data::PerformanceSeries&
       opt::make_robust_problem(std::move(base), options.loss, options.loss_scale);
 
   // External-space points that violate the bounds are clipped into them by a
-  // tiny margin rather than dropped.
+  // tiny margin rather than dropped. A sign bound clips only values on the
+  // wrong side: a start may need a tiny rate, such as the Exp-Exp mixture's
+  // ridge limit (rate * t_max = 1e-12).
   const auto clip_into_bounds = [&transform](num::Vector p) {
     const auto& bounds = transform.bounds();
     for (std::size_t i = 0; i < p.size(); ++i) {
       switch (bounds[i].kind) {
         case opt::BoundKind::kPositive:
-          p[i] = std::max(p[i], 1e-12);
+          if (!(p[i] > 0.0)) p[i] = 1e-12;
           break;
         case opt::BoundKind::kNegative:
-          p[i] = std::min(p[i], -1e-12);
+          if (!(p[i] < 0.0)) p[i] = -1e-12;
           break;
         case opt::BoundKind::kInterval: {
           const double pad = 1e-9 * (bounds[i].hi - bounds[i].lo);

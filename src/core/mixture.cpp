@@ -9,7 +9,7 @@
 #include "numerics/simd.hpp"
 #include "numerics/simd_math.hpp"
 #include "numerics/special_functions.hpp"
-#include "optimize/golden_section.hpp"
+#include "optimize/brent.hpp"
 #include "optimize/multistart.hpp"
 
 namespace prm::core {
@@ -432,48 +432,39 @@ void family_box(Family f, double horizon, std::vector<double>* lo, std::vector<d
 
 // --- Exp-Exp starts by variable projection ----------------------------------
 
-// out[i] = F(t[i]) = 1 - e^{-rate t[i]} of an Exponential CDF (0 at t <= 0),
-// with the batch kernel's operations, in 4-lane chunks.
+// F = 1 - e^{-rate t} of an Exponential CDF at 4 abscissae (0 at t <= 0),
+// with the batch kernel's operations, and its survival function 1 - F, by
+// exp alone: accurate in relative terms, at half the cost of expm1.
 template <typename Pack>
-void exp_cdf_column(std::span<const double> t, double rate, double* out) {
-  const Pack r = Pack::broadcast(rate);
+Pack exp_cdf(Pack rate, Pack t) {
   const Pack zero = Pack::broadcast(0.0);
-  const auto chunk = [&](Pack tv) {
-    return select(cmp_gt(tv, zero), -num::simd_expm1(-(r * tv)), zero);
-  };
-  std::size_t i = 0;
-  for (; i + Pack::width <= t.size(); i += Pack::width) {
-    chunk(Pack::load(t.data() + i)).store(out + i);
-  }
-  if (i < t.size()) {
-    double pad[Pack::width] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t k = i; k < t.size(); ++k) pad[k - i] = t[k];
-    chunk(Pack::load(pad)).store(pad);
-    for (std::size_t k = i; k < t.size(); ++k) out[k] = pad[k - i];
-  }
+  return select(cmp_gt(t, zero), -num::simd_expm1(-(rate * t)), zero);
 }
-
-void exp_cdf_column(std::span<const double> t, double rate, double* out) {
-  if (num::batch_simd_enabled()) {
-    exp_cdf_column<num::f64x4>(t, rate, out);
-  } else {
-    exp_cdf_column<num::f64x4_generic>(t, rate, out);
-  }
+template <typename Pack>
+Pack exp_survival(Pack rate, Pack t) {
+  return select(cmp_gt(t, Pack::broadcast(0.0)), num::simd_exp(-(rate * t)),
+                Pack::broadcast(1.0));
 }
 
 // The scan's shape: kRateGrid log-spaced recovery rates over rate * t in
 // [0.05, 5] at the window's ends (rate in [0.05 / t_max, 5 / t_min]), and
 // kDecayGrid degradation rates over [0.001 / t_max, 5 / t_min], which also
-// covers declines of a few tenths of a percent over the window;
-// kGoldenSteps golden-section steps per profiled row; kExactSeeds starts.
+// covers declines of a few tenths of a percent over the window; Brent's
+// tolerance on a log rate; kExactSeeds starts.
 constexpr std::size_t kRateGrid = 24;
 constexpr std::size_t kDecayGrid = 34;
-constexpr int kGoldenSteps = 20;
+constexpr double kLogRateTol = 1e-9;
 constexpr std::size_t kExactSeeds = 2;
 // A recovery rate with rate * t_min >= ~37 makes -expm1(-rate t) exactly 1.0
 // at every sample, and its gradient exactly 0: the finite stand-in for the
 // step limit rate -> infinity, which LM then never moves.
 constexpr double kStepRateTimesTmin = 40.0;
+// A recovery rate with rate * t_max = 1e-12 puts 1 - e^{-rate t} within
+// 5e-13 relative of rate * t at every sample: the finite stand-in for the
+// ridge rate -> 0, beta -> infinity (beta * rate fixed, the slope limit
+// g(t) t), where LM's gradient along the ridge is already below its
+// tolerance.
+constexpr double kRidgeRateTimesTmax = 1e-12;
 
 // Least-squares starts for the Exp-Exp mixture with a linear-in-beta trend,
 // by variable projection (Golub & Pereyra 1973). The curve
@@ -481,82 +472,97 @@ constexpr double kStepRateTimesTmin = 40.0;
 // is linear in beta, so for fixed rates the best beta >= 0 is the clamped
 // one-column fit beta* = max(<y - s, c>/<c, c>, 0) with s = e^{-l1 t} and
 // c = g (1 - e^{-l2 t}). The profile SSE is scanned on a log grid of rates,
-// with the step limit as one more l2 row. Each l2 row's best l1 on the grid
-// gives a row profile over l2. From each local minimum of that profile the
-// search descends on the profiled rows, where l1 is refined by golden
-// section, to a local minimum of their SSE. l1 must be profiled per row
-// because its basin is narrow: a single best point of the grid can sit on
-// the ridge l2 -> 0, beta -> infinity (beta l2 fixed: the slope limit
-// t ln t) far from the optimum, and one grid cell of l1 can change a row's
-// SSE fourfold. Returns the best kExactSeeds of those minima as
-// [l1, l2, beta], best first, with beta clipped into its positive bound.
+// with the ridge and step limits as two more l2 rows. Each l2 row's best l1
+// on the grid gives a row profile over l2. From each local minimum of that
+// profile the search descends on the profiled rows, where l1 is refined by
+// Brent's method, to a local minimum of their SSE; each such row's l2 is
+// then refined between its neighbours, l1 profiled at each l2. l1 must be
+// profiled per row because its basin is narrow: a single best point of the
+// grid can sit on the ridge far from the optimum, and one grid cell of l1
+// can change a row's SSE fourfold. Returns the best kExactSeeds of those
+// minima as [l1, l2, beta], best first, with beta clipped into its positive
+// bound. Every sum runs in Pack lanes over copies of t and y padded to a
+// whole number of packs with t = 0, y = 1, where s = 1 and c = 0, so the
+// pad adds nothing to any sum.
+template <typename Pack>
 std::vector<num::Vector> exp_exp_variable_projection(const data::PerformanceSeries& fit,
                                                      RecoveryTrend trend) {
-  const std::span<const double> t = fit.times();
-  const std::span<const double> y = fit.values();
-  const std::size_t n = t.size();
+  constexpr std::size_t kWidth = Pack::width;
+  const std::size_t n = (fit.size() + kWidth - 1) / kWidth * kWidth;
+  std::vector<double> t(n, 0.0);
+  std::vector<double> y(n, 1.0);
+  std::vector<double> g(n, 0.0);
   double t_min = std::numeric_limits<double>::infinity();
   double t_max = 0.0;
-  for (double ti : t) {
-    if (ti > 0.0) {
-      t_min = std::min(t_min, ti);
-      t_max = std::max(t_max, ti);
+  for (std::size_t i = 0; i < fit.size(); ++i) {
+    t[i] = fit.time(i);
+    y[i] = fit.value(i);
+    if (t[i] > 0.0) {
+      g[i] = MixtureModel::trend_basis(trend, t[i]);
+      t_min = std::min(t_min, t[i]);
+      t_max = std::max(t_max, t[i]);
     }
   }
   if (!(t_max > 0.0)) t_min = t_max = 1.0;  // constant curve: any rates fit
 
-  // The l2 rows: the grid, then the step-limit rate as row kRateGrid.
-  constexpr std::size_t kRows = kRateGrid + 1;
+  const Pack zero = Pack::broadcast(0.0);
+  const auto dot = [&](const double* a, const double* b) {
+    Pack acc = zero;
+    for (std::size_t i = 0; i < n; i += kWidth) acc = acc + Pack::load(a + i) * Pack::load(b + i);
+    return num::lane_sum(acc);
+  };
+  // out = g (1 - e^{-rate t}), the recovery column of rate l2 = `rate`.
+  const auto recovery_column = [&](double rate, double* out) {
+    const Pack r = Pack::broadcast(rate);
+    for (std::size_t i = 0; i < n; i += kWidth) {
+      (Pack::load(&g[i]) * exp_cdf(r, Pack::load(&t[i]))).store(out + i);
+    }
+  };
+
+  // The l2 rows: the ridge-limit rate as row 0, the grid as rows 1 to
+  // kRateGrid, then the step-limit rate.
+  constexpr std::size_t kRows = kRateGrid + 2;
   double rates[kRows];
   const double log_hi = std::log(5.0 / t_min);
   const double log_lo2 = std::log(0.05 / t_max);
+  rates[0] = kRidgeRateTimesTmax / t_max;
   for (std::size_t j = 0; j < kRateGrid; ++j) {
-    rates[j] = std::exp(log_lo2 + static_cast<double>(j) * (log_hi - log_lo2) / (kRateGrid - 1));
+    rates[j + 1] =
+        std::exp(log_lo2 + static_cast<double>(j) * (log_hi - log_lo2) / (kRateGrid - 1));
   }
-  rates[kRateGrid] = kStepRateTimesTmin / t_min;
+  rates[kRows - 1] = kStepRateTimesTmin / t_min;
   // The l1 columns, at log(decay[k]) = log_lo + k log_step.
   const double log_lo = std::log(0.001 / t_max);
   const double log_step = (log_hi - log_lo) / (kDecayGrid - 1);
-  double decay[kDecayGrid];
-  for (std::size_t k = 0; k < kDecayGrid; ++k) {
-    decay[k] = std::exp(log_lo + static_cast<double>(k) * log_step);
-  }
 
-  // Recovery columns c[j] = g F(l2 = rates[j]), stored sample-major so that
-  // the cross products below run over contiguous rows.
-  std::vector<double> g(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    g[i] = t[i] > 0.0 ? MixtureModel::trend_basis(trend, t[i]) : 0.0;
-  }
-  std::vector<double> f(n);
-  std::vector<double> c(n * kRows);
-  double yc[kRows] = {};
-  double cc[kRows] = {};
+  // Recovery columns c_j = g F(rates[j]), one after another.
+  std::vector<double> c(kRows * n);
+  double yc[kRows];
+  double cc[kRows];
   for (std::size_t j = 0; j < kRows; ++j) {
-    exp_cdf_column(t, rates[j], f.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const double cij = g[i] * f[i];
-      c[i * kRows + j] = cij;
-      yc[j] += y[i] * cij;
-      cc[j] += cij * cij;
-    }
+    const double* cj = &c[j * n];
+    recovery_column(rates[j], &c[j * n]);
+    yc[j] = dot(y.data(), cj);
+    cc[j] = dot(cj, cj);
   }
 
   // Grid row profile: with d = y - s, the SSE at beta* is |d|^2 - beta* <d, c>.
   double row_sse[kRows];
   std::size_t row_arg[kRows] = {};
   std::fill(row_sse, row_sse + kRows, std::numeric_limits<double>::infinity());
+  std::vector<double> s(n);
   for (std::size_t k = 0; k < kDecayGrid; ++k) {
-    exp_cdf_column(t, decay[k], f.data());
-    double dd = 0.0;
-    double sc[kRows] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-      const double s = 1.0 - f[i];
-      dd += (y[i] - s) * (y[i] - s);
-      for (std::size_t j = 0; j < kRows; ++j) sc[j] += s * c[i * kRows + j];
+    const Pack l1 = Pack::broadcast(std::exp(log_lo + static_cast<double>(k) * log_step));
+    Pack dd_v = zero;
+    for (std::size_t i = 0; i < n; i += kWidth) {
+      const Pack sv = exp_survival(l1, Pack::load(&t[i]));
+      sv.store(&s[i]);
+      const Pack dv = Pack::load(&y[i]) - sv;
+      dd_v = dd_v + dv * dv;
     }
+    const double dd = num::lane_sum(dd_v);
     for (std::size_t j = 0; j < kRows; ++j) {
-      const double dc = yc[j] - sc[j];
+      const double dc = yc[j] - dot(s.data(), &c[j * n]);
       const double beta = cc[j] > 0.0 ? std::max(dc / cc[j], 0.0) : 0.0;
       const double sse = dd - beta * dc;
       if (sse < row_sse[j]) {
@@ -566,33 +572,47 @@ std::vector<num::Vector> exp_exp_variable_projection(const data::PerformanceSeri
     }
   }
 
-  // The exact profile of row j at degradation rate l1, summed from the
-  // residuals (the expanded form above cancels to noise near an exact fit).
+  // The exact profile at degradation rate l1 against the recovery column
+  // col (with <col, col> = cc_col), summed from the residuals (the expanded
+  // form above cancels to noise near an exact fit); d receives y - s.
   struct Point {
     double sse = std::numeric_limits<double>::infinity();
     double l1 = 0.0;
+    double l2 = 0.0;
     double beta = 0.0;
   };
   std::vector<double> d(n);
-  const auto profile = [&](std::size_t j, double l1) {
-    exp_cdf_column(t, l1, f.data());
-    double dc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      d[i] = y[i] - (1.0 - f[i]);
-      dc += d[i] * c[i * kRows + j];
+  const auto profile = [&](const double* col, double cc_col, double l1) {
+    const Pack rate = Pack::broadcast(l1);
+    Pack dc_v = zero;
+    for (std::size_t i = 0; i < n; i += kWidth) {
+      const Pack dv = Pack::load(&y[i]) - exp_survival(rate, Pack::load(&t[i]));
+      dv.store(&d[i]);
+      dc_v = dc_v + dv * Pack::load(col + i);
     }
     Point p;
     p.l1 = l1;
-    p.beta = cc[j] > 0.0 ? std::max(dc / cc[j], 0.0) : 0.0;
-    p.sse = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double r = d[i] - p.beta * c[i * kRows + j];
-      p.sse += r * r;
+    p.beta = cc_col > 0.0 ? std::max(num::lane_sum(dc_v) / cc_col, 0.0) : 0.0;
+    const Pack beta = Pack::broadcast(p.beta);
+    Pack sse_v = zero;
+    for (std::size_t i = 0; i < n; i += kWidth) {
+      const Pack r = Pack::load(&d[i]) - beta * Pack::load(col + i);
+      sse_v = sse_v + r * r;
     }
+    p.sse = num::lane_sum(sse_v);
     return p;
   };
-  // Row j profiled: golden section over log l1 within one grid cell either
-  // side of the row's best grid rate, kept only when it beats that rate.
+  // Profiles l1 against one recovery column: Brent over log l1 on [lo, hi],
+  // kept only when it beats the point at `fallback`.
+  const auto profile_l1 = [&](const double* col, double cc_col, double lo, double hi,
+                              double fallback) {
+    const opt::BrentResult best = opt::brent_minimize(
+        [&](double x) { return profile(col, cc_col, std::exp(x)).sse; }, lo, hi, kLogRateTol);
+    const Point at_fallback = profile(col, cc_col, fallback);
+    const Point at_best = profile(col, cc_col, std::exp(best.x));
+    return at_best.sse < at_fallback.sse ? at_best : at_fallback;
+  };
+  // Row j profiled within one grid cell either side of its best grid rate.
   Point profiled[kRows];
   bool done[kRows] = {};
   const auto refine = [&](std::size_t j) -> const Point& {
@@ -600,12 +620,9 @@ std::vector<num::Vector> exp_exp_variable_projection(const data::PerformanceSeri
       const std::size_t k = row_arg[j];
       const double lo = log_lo + static_cast<double>(k > 0 ? k - 1 : k) * log_step;
       const double hi = log_lo + static_cast<double>(std::min(k + 1, kDecayGrid - 1)) * log_step;
-      const opt::GoldenResult golden = opt::golden_section(
-          [&](double x) { return profile(j, std::exp(x)).sse; }, lo, hi, /*x_tol=*/0.0,
-          kGoldenSteps);
-      const Point at_grid = profile(j, decay[k]);
-      const Point at_golden = profile(j, std::exp(golden.x));
-      profiled[j] = at_golden.sse < at_grid.sse ? at_golden : at_grid;
+      profiled[j] = profile_l1(&c[j * n], cc[j], lo, hi,
+                               std::exp(log_lo + static_cast<double>(k) * log_step));
+      profiled[j].l2 = rates[j];
       done[j] = true;
     }
     return profiled[j];
@@ -634,11 +651,57 @@ std::vector<num::Vector> exp_exp_variable_projection(const data::PerformanceSeri
   });
   if (minima.size() > kExactSeeds) minima.resize(kExactSeeds);
 
-  std::vector<num::Vector> seeds;
+  // True when the profile SSE falls as l2 rises from the ridge row's seed.
+  // With beta profiled, dSSE/dl2 = -2 beta <r, g t e^{-l2 t}>, and since
+  // <r, c> = 0 at beta*, near l2 = 0 that is beta l2 <r, g t^2>.
+  const auto ridge_rises = [&](const Point& seed) {
+    if (!(seed.beta > 0.0)) return false;
+    profile(c.data(), cc[0], seed.l1);  // d at the seed
+    double slope = 0.0;
+    for (std::size_t i = 0; i < n; ++i) slope += (d[i] - seed.beta * c[i]) * g[i] * t[i] * t[i];
+    return slope < 0.0;
+  };
+
+  // Each seed's l2 refined between its neighbour rows by Brent over log l2,
+  // with l1 profiled again at every l2 (between the rows' profiled rates,
+  // widened by a grid cell): the seed is then the optimum of the 2-D
+  // profile, which LM only confirms. The step-limit row stays exact, and so
+  // does the ridge row where it is a minimum of the profile: LM cannot
+  // leave the ridge, where its gradient along l2 vanishes.
+  std::vector<double> col(n);
+  std::vector<Point> seeds;
   for (std::size_t j : minima) {
-    seeds.push_back({profiled[j].l1, rates[j], std::max(profiled[j].beta, 1e-12)});
+    Point seed = profiled[j];
+    if (j + 1 < kRows && (j > 0 || ridge_rises(seed))) {
+      const std::size_t below = j > 0 ? j - 1 : j;
+      double lo1 = std::log(seed.l1);
+      double hi1 = lo1;
+      for (std::size_t r = below; r <= j + 1; ++r) {
+        lo1 = std::min(lo1, std::log(refine(r).l1));
+        hi1 = std::max(hi1, std::log(refine(r).l1));
+      }
+      lo1 -= log_step;
+      hi1 += log_step;
+      const auto at_rate = [&](double l2) {
+        recovery_column(l2, col.data());
+        Point p = profile_l1(col.data(), dot(col.data(), col.data()), lo1, hi1, seed.l1);
+        p.l2 = l2;
+        return p;
+      };
+      const opt::BrentResult best = opt::brent_minimize(
+          [&](double x) { return at_rate(std::exp(x)).sse; }, std::log(rates[below]),
+          std::log(rates[j + 1]), kLogRateTol);
+      const Point refined = at_rate(std::exp(best.x));
+      if (refined.sse < seed.sse) seed = refined;
+    }
+    seeds.push_back(seed);
   }
-  return seeds;
+  std::stable_sort(seeds.begin(), seeds.end(),
+                   [](const Point& a, const Point& b) { return a.sse < b.sse; });
+
+  std::vector<num::Vector> out;
+  for (const Point& seed : seeds) out.push_back({seed.l1, seed.l2, std::max(seed.beta, 1e-12)});
+  return out;
 }
 
 }  // namespace
@@ -770,15 +833,6 @@ void MixtureModel::eval_batch(std::span<const double> t, const num::Vector& p,
   if (out.size() != t.size()) {
     throw std::invalid_argument("eval_batch: out size must match t size");
   }
-  if (has_exact_starts() &&
-      !std::all_of(p.begin(), p.end(), [](double x) { return std::isfinite(x); })) {
-    // A rate or beta that overflowed is no curve: the NaN makes LM reject the
-    // step that overflowed it. The step limit of the recovery rate is reached
-    // at a finite rate (see kStepRateTimesTmin), so no fit needs an infinite
-    // parameter.
-    std::fill(out.begin(), out.end(), std::numeric_limits<double>::quiet_NaN());
-    return;
-  }
   if (num::batch_simd_enabled()) {
     mixture_batch<num::f64x4, false>(spec_, n1_, n2_, p.data(), t, out.data(), nullptr);
   } else {
@@ -806,7 +860,11 @@ bool MixtureModel::has_exact_starts() const {
 
 std::vector<num::Vector> MixtureModel::initial_guesses(
     const data::PerformanceSeries& fit) const {
-  if (has_exact_starts()) return exp_exp_variable_projection(fit, spec_.trend);
+  if (has_exact_starts()) {
+    return num::batch_simd_enabled()
+               ? exp_exp_variable_projection<num::f64x4>(fit, spec_.trend)
+               : exp_exp_variable_projection<num::f64x4_generic>(fit, spec_.trend);
+  }
   const double td = fit.trough_time();
   const double tn = std::max(fit.times().back(), 2.0);
   const double vn = fit.values().back();

@@ -4,7 +4,7 @@
 
 #include "numerics/integrate.hpp"
 #include "numerics/roots.hpp"
-#include "optimize/golden_section.hpp"
+#include "optimize/brent.hpp"
 
 namespace prm::core {
 
@@ -20,8 +20,7 @@ double predict_trough_time(const FitResult& fit, std::optional<double> horizon) 
     return std::clamp(*t, 0.0, h);
   }
   const auto f = [&fit](double t) { return fit.evaluate(t); };
-  const opt::GoldenResult res = opt::scan_then_golden(f, 0.0, h, 256);
-  return res.x;
+  return opt::scan_then_brent(f, 0.0, h, 256).x;
 }
 
 double predict_trough_value(const FitResult& fit, std::optional<double> horizon) {
@@ -31,7 +30,8 @@ double predict_trough_value(const FitResult& fit, std::optional<double> horizon)
 std::optional<double> predict_recovery_time(const FitResult& fit, double level,
                                             std::optional<double> after,
                                             double horizon_factor) {
-  const double start = after.value_or(predict_trough_time(fit));
+  // Not value_or: its argument, a trough search, would run even when unused.
+  const double start = after ? *after : predict_trough_time(fit);
   const double horizon = horizon_factor * observed_horizon(fit);
 
   if (const auto t = fit.model().recovery_time_closed_form(fit.parameters(), level, start)) {

@@ -2,8 +2,8 @@
 // will the system recover to a specified level?").
 //
 // Closed forms are used when the model provides them (both bathtub models);
-// otherwise the queries fall back to bracketed root finding / golden-section
-// search on the fitted curve.
+// otherwise the queries fall back to bracketed root finding / Brent
+// minimization on the fitted curve.
 #pragma once
 
 #include <optional>

@@ -91,8 +91,8 @@ UncertaintyResult prediction_uncertainty(const FitResult& fit,
     if (!refit.success()) return result;
     result.ok = true;
     result.trough_t = predict_trough_time(refit);
-    result.trough_v = predict_trough_value(refit);
-    result.recovery = predict_recovery_time(refit, options.recovery_level);
+    result.trough_v = refit.evaluate(result.trough_t);
+    result.recovery = predict_recovery_time(refit, options.recovery_level, result.trough_t);
     const auto metrics = predictive_metrics(refit);
     result.metrics.reserve(metrics.size());
     for (const auto& m : metrics) result.metrics.push_back(m.predicted);
@@ -128,12 +128,13 @@ UncertaintyResult prediction_uncertainty(const FitResult& fit,
     throw std::runtime_error("prediction_uncertainty: too few successful replicates");
   }
 
+  const double point_trough = predict_trough_time(fit);
   const double point_recovery =
-      predict_recovery_time(fit, options.recovery_level).value_or(
-          std::numeric_limits<double>::quiet_NaN());
+      predict_recovery_time(fit, options.recovery_level, point_trough)
+          .value_or(std::numeric_limits<double>::quiet_NaN());
   out.recovery_time = summarize(point_recovery, recovery_samples, options.alpha);
-  out.trough_time = summarize(predict_trough_time(fit), trough_t_samples, options.alpha);
-  out.trough_value = summarize(predict_trough_value(fit), trough_v_samples, options.alpha);
+  out.trough_time = summarize(point_trough, trough_t_samples, options.alpha);
+  out.trough_value = summarize(fit.evaluate(point_trough), trough_v_samples, options.alpha);
 
   const auto point_metrics = predictive_metrics(fit);
   for (std::size_t k = 0; k < kAllMetrics.size(); ++k) {

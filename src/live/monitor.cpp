@@ -544,10 +544,10 @@ void Monitor::refit_job(Entry& entry, const std::string& name, std::uint64_t ord
                                           fit_options);
     if (!fit.success()) throw std::runtime_error("fit did not converge");
 
-    const std::optional<double> t_r = core::predict_recovery_time(
-        fit, options_.stream.recovery_fraction, std::nullopt, options_.horizon_factor);
     const double trough_t = core::predict_trough_time(fit);
-    const double trough_v = core::predict_trough_value(fit);
+    const double trough_v = fit.evaluate(trough_t);
+    const std::optional<double> t_r = core::predict_recovery_time(
+        fit, options_.stream.recovery_fraction, trough_t, options_.horizon_factor);
 
     double forecast_at = 0.0;
     StreamPhase phase = StreamPhase::kNominal;

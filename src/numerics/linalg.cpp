@@ -1,5 +1,6 @@
 #include "numerics/linalg.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -57,8 +58,19 @@ QrResult qr_decompose(const Matrix& a) {
 
   for (std::size_t k = 0; k < n; ++k) {
     // Householder reflector for column k, rows k..m-1.
+    // Its column norm as scale * sqrt(sum (x / scale)^2), scaled by the
+    // largest magnitude so that no square overflows or underflows.
+    double scale = 0.0;
+    for (std::size_t i = k; i < m; ++i) scale = std::max(scale, std::fabs(qr(i, k)));
     double nrm = 0.0;
-    for (std::size_t i = k; i < m; ++i) nrm = std::hypot(nrm, qr(i, k));
+    if (scale > 0.0) {
+      double ssq = 0.0;
+      for (std::size_t i = k; i < m; ++i) {
+        const double x = qr(i, k) / scale;
+        ssq += x * x;
+      }
+      nrm = scale * std::sqrt(ssq);
+    }
     if (nrm == 0.0) {
       res.full_rank = false;
       continue;

@@ -484,6 +484,15 @@ constexpr bool simd_native() {
 /// Compile-time backend name ("avx", "sse2", "neon", "scalar").
 constexpr const char* simd_backend() { return PRM_SIMD_BACKEND; }
 
+/// The sum of a pack's 4 lanes in a fixed order, (l0 + l1) + (l2 + l3), so
+/// that a reduction is bit-identical on every backend.
+template <typename Pack>
+double lane_sum(Pack v) {
+  double lanes[Pack::width];
+  v.store(lanes);
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
 /// Runtime switch for the batch curve kernels: when false they dispatch to
 /// the f64x4_generic instantiation instead of the native pack. Because the
 /// two instantiations are bit-identical this never changes a result — it

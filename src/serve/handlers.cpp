@@ -486,6 +486,9 @@ http::Response App::handle_fit(const http::Request& request) {
 
   const double level =
       json_number_or(body, "level", fit_request.series.value(0));
+  // One trough search serves the recovery query and the trough fields: a
+  // mixture has no closed form, so each search is a scan of the curve.
+  const double trough_time = core::predict_trough_time(*fit);
 
   JsonWriter& w = thread_json_writer();
   w.begin_object();
@@ -526,7 +529,7 @@ http::Response App::handle_fit(const http::Request& request) {
   w.key("recovery");
   w.begin_object();
   w.kv("level", level);
-  w.kv("time", core::predict_recovery_time(*fit, level));
+  w.kv("time", core::predict_recovery_time(*fit, level, trough_time));
   w.end_object();
 
   // function_evaluations counts the whole fit (every start plus the polish);
@@ -542,8 +545,8 @@ http::Response App::handle_fit(const http::Request& request) {
 
   w.key("trough");
   w.begin_object();
-  w.kv("time", core::predict_trough_time(*fit));
-  w.kv("value", core::predict_trough_value(*fit));
+  w.kv("time", trough_time);
+  w.kv("value", fit->evaluate(trough_time));
   w.end_object();
 
   w.key("validation");

@@ -142,10 +142,16 @@ double reference_sse(const core::ResilienceModel& model, const data::Performance
     starts.push_back(transform.to_internal(g));
   }
   const auto [lo, hi] = model.search_box(fit);
+  num::Vector lo_int = transform.to_internal(lo);
+  num::Vector hi_int = transform.to_internal(hi);
+  // The negative-bound transform is order-reversing; normalize the box.
+  for (std::size_t i = 0; i < lo_int.size(); ++i) {
+    if (lo_int[i] > hi_int[i]) std::swap(lo_int[i], hi_int[i]);
+  }
   opt::MultistartOptions options;
   options.threads = 0;
-  const opt::MultistartResult ms = opt::multistart_least_squares(
-      problem, starts, transform.to_internal(lo), transform.to_internal(hi), options);
+  const opt::MultistartResult ms =
+      opt::multistart_least_squares(problem, starts, lo_int, hi_int, options);
   const num::Vector r = problem.residuals(ms.best.parameters);
   double sse = 0.0;
   for (double e : r) sse += e * e;
@@ -198,6 +204,65 @@ TEST(FitCorpus, CompetingRisksOneExactStartMatchesTheFullMultistart) {
   check_against_reference(model, generated_corpus(300, 2029), 1, &count);
   record(count);
   EXPECT_LE(count.worse, kCompetingRisksWorseWindows);
+}
+
+// Pinned: quadratic windows whose fit from the one exact sign-constrained
+// least-squares start is more than 1e-9 relative above the reference. May
+// only fall.
+constexpr int kQuadraticWorseWindows = 0;
+
+TEST(FitCorpus, QuadraticExactStartMatchesTheFullMultistart) {
+  const core::QuadraticBathtubModel model;
+  CorpusCount count;
+  check_against_reference(model, generated_corpus(300, 2029), 1, &count);
+  check_against_reference(model, recession_corpus(), 1, &count);
+  record(count);
+  EXPECT_LE(count.worse, kQuadraticWorseWindows);
+}
+
+// Exact quadratic data on the faces of the sign orthant, at t = 0..39: an
+// L-shape (gamma -> 0), a recovery from a vertex at t = 0 (beta -> 0), and a
+// concave decline whose unconstrained fit has gamma < 0, so the optimum is
+// the line fit on the gamma = 0 face. The first two fit exactly (up to the
+// clip of the zero coefficient at 1e-12, an SSE of ~2e-17); the third
+// matches the line's SSE.
+TEST(FitCorpus, QuadraticEdgeCasesFitOnTheFaces) {
+  const core::QuadraticBathtubModel model;
+  const auto series_of = [](double a, double b, double c) {
+    std::vector<double> v(40);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const double t = static_cast<double>(i);
+      v[i] = a + b * t + c * t * t;
+    }
+    return data::PerformanceSeries("edge", std::move(v));
+  };
+  for (const num::Vector& truth : {num::Vector{1.0, -0.004, 0.0}, num::Vector{0.9, 0.0, 1e-4}}) {
+    SCOPED_TRACE("beta " + std::to_string(truth[1]) + ", gamma " + std::to_string(truth[2]));
+    const core::FitResult fit = core::fit_model(model, series_of(truth[0], truth[1], truth[2]), 0);
+    ASSERT_TRUE(fit.success());
+    EXPECT_EQ(fit.starts_tried, 1);
+    EXPECT_LT(fit.sse, 1e-16);
+  }
+  const data::PerformanceSeries concave = series_of(1.0, -0.002, -2e-5);
+  const core::FitResult fit = core::fit_model(model, concave, 0);
+  ASSERT_TRUE(fit.success());
+  // The least-squares line through the same samples.
+  double st = 0.0, sy = 0.0, stt = 0.0, sty = 0.0;
+  const double n = static_cast<double>(concave.size());
+  for (std::size_t i = 0; i < concave.size(); ++i) {
+    st += concave.time(i);
+    sy += concave.value(i);
+    stt += concave.time(i) * concave.time(i);
+    sty += concave.time(i) * concave.value(i);
+  }
+  const double slope = (n * sty - st * sy) / (n * stt - st * st);
+  const double intercept = (sy - slope * st) / n;
+  double line_sse = 0.0;
+  for (std::size_t i = 0; i < concave.size(); ++i) {
+    const double r = concave.value(i) - intercept - slope * concave.time(i);
+    line_sse += r * r;
+  }
+  EXPECT_FALSE(worse_than(fit.sse, line_sse, 1e-9)) << fit.sse << " vs line " << line_sse;
 }
 
 // Pinned: Exp-Exp windows whose fit from at most two exact starts is more

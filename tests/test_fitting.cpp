@@ -199,7 +199,7 @@ TEST(FitModel, WarmStartRefitMatchesColdFitAtAFractionOfTheWork) {
   // seeded from the cold parameters: the incremental path live::Monitor uses.
   // Competing risks under Huber loss, which keeps the full start set: for the
   // plain SSE the cold fit runs one exact variable-projection start (as the
-  // quadratic runs its two exact guesses), leaving the warm path nothing to
+  // quadratic runs its one exact guess), leaving the warm path nothing to
   // save. On exact data the Huber optimum is the least-squares one.
   const data::PerformanceSeries series = exact_competing_risks_series(40);
   FitOptions huber;
@@ -220,9 +220,9 @@ TEST(FitModel, WarmStartRefitMatchesColdFitAtAFractionOfTheWork) {
 }
 
 TEST(FitModel, StartPolicyFollowsTheObjective) {
-  // The quadratic's two exact guesses suffice under any convex loss; Cauchy
-  // is not convex and keeps the full set (2 guesses, 2 jittered copies each,
-  // 8 sampled). Competing risks' one exact start is the least-squares
+  // The quadratic's one exact guess suffices under any convex loss; Cauchy
+  // is not convex and keeps the full set (the guess, 2 jittered copies, 8
+  // sampled). Competing risks' one exact start is the least-squares
   // optimum, so only the plain unweighted SSE runs it alone.
   const auto& ds = data::recession("1990-93");
   const auto starts = [&ds](const char* model, opt::LossKind loss, bool weighted) {
@@ -233,10 +233,10 @@ TEST(FitModel, StartPolicyFollowsTheObjective) {
     EXPECT_TRUE(fit.success()) << model;
     return fit.starts_tried;
   };
-  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, false), 2);
-  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, true), 2);
-  EXPECT_EQ(starts("quadratic", opt::LossKind::kHuber, false), 2);
-  EXPECT_EQ(starts("quadratic", opt::LossKind::kCauchy, false), 14);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, false), 1);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, true), 1);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kHuber, false), 1);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kCauchy, false), 11);
   EXPECT_EQ(starts("competing-risks", opt::LossKind::kSquared, false), 1);
   EXPECT_EQ(starts("competing-risks", opt::LossKind::kSquared, true), 11);
   EXPECT_EQ(starts("competing-risks", opt::LossKind::kHuber, false), 11);

@@ -329,14 +329,14 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredModels, ExactRecovery,
                            return n;
                          });
 
-// ---- Quadratic: the two exact guesses reach the one minimum ---------------
+// ---- Quadratic: the exact guess reaches the one minimum --------------------
 //
 // Eq. 1 is linear in (alpha, beta, gamma), so the SSE is convex and its
 // unconstrained minimum is the linear least-squares solution. Wherever that
 // solution has the bathtub signs, the fit must reach its SSE from the
-// model's two guesses alone.
+// model's one guess alone.
 
-TEST(QuadraticFit, TwoGuessesReachTheLinearLeastSquaresMinimum) {
+TEST(QuadraticFit, ExactGuessReachesTheLinearLeastSquaresMinimum) {
   const QuadraticBathtubModel model;
   std::mt19937_64 rng(2022);
   std::uniform_int_distribution<std::size_t> length(24, 240);
@@ -358,7 +358,7 @@ TEST(QuadraticFit, TwoGuessesReachTheLinearLeastSquaresMinimum) {
                  " samples");
 
     const FitResult fit = fit_model(model, series, 0);
-    EXPECT_EQ(fit.starts_tried, 2);
+    EXPECT_EQ(fit.starts_tried, 1);
 
     const num::Vector ls = QuadraticBathtubModel::linear_ls_fit(series);
     if (!(ls[0] > 0.0 && ls[1] < 0.0 && ls[2] > 0.0)) continue;
