@@ -94,7 +94,7 @@ class ResilienceModel {
 
   /// Hook for models whose initial_guesses() embed their own exploration
   /// (e.g. the nn family's Adam multistart) or suffice for the objective
-  /// being minimized (the quadratic's first guess is its exact linear
+  /// being minimized (the quadratic's guess is its exact sign-constrained
   /// least-squares fit; competing-risks' is its variable-projection optimum;
   /// the Exp-Exp mixture's are the best two minima of its variable-
   /// projection profile): fit_model() passes its solver options and the
