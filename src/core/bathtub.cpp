@@ -403,7 +403,11 @@ void QuadraticBathtubModel::tune_multistart(opt::MultistartOptions& options,
   // parameters): LM from the exact guess reaches its one minimum. Cauchy's
   // redescending loss is not convex and has several.
   if (!objective.convex_loss) return;
-  options.sampled_starts = 0;
+  // The guess is exact for the plain SSE only. Under weights or Huber's loss
+  // the optimum moves, possibly off the guess's face, where LM stalls on a
+  // coefficient clipped to 1e-12 (its internal derivative is ~1e-12): one
+  // sampled start inside the sign orthant reaches the minimum from there.
+  options.sampled_starts = objective.plain_sse ? 0 : 1;
   options.jitter_per_start = 0;
   options.polish_with_nelder_mead = false;
 }

@@ -59,10 +59,12 @@ class QuadraticBathtubModel final : public ResilienceModel {
                                                   double after) const override;
   std::optional<double> trough_closed_form(const num::Vector& params) const override;
 
-  /// Under a convex loss (squared or Huber, weighted or not) the guess
-  /// suffices: the objective is convex over the sign region, so no jittered
-  /// or sampled start and no polish can reach a lower minimum, and for the
-  /// plain SSE LM starts at the optimum. Cauchy keeps the full start set.
+  /// Under a convex loss (squared or Huber, weighted or not) the objective
+  /// is convex over the sign region, so no jittered start and no polish can
+  /// reach a lower minimum. For the plain SSE the guess is the optimum; a
+  /// weighted or Huber fit adds one sampled start inside the region, since
+  /// its optimum may lie off the guess's face. Cauchy keeps the full start
+  /// set.
   void tune_multistart(opt::MultistartOptions& options,
                        const FitObjective& objective) const override;
 

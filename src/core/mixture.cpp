@@ -475,8 +475,9 @@ constexpr double kRidgeRateTimesTmax = 1e-12;
 // with the ridge and step limits as two more l2 rows. Each l2 row's best l1
 // on the grid gives a row profile over l2. From each local minimum of that
 // profile the search descends on the profiled rows, where l1 is refined by
-// Brent's method, to a local minimum of their SSE; each such row's l2 is
-// then refined between its neighbours, l1 profiled at each l2. l1 must be
+// Brent's method, to a local minimum of their SSE; LM finishes l2 from
+// there. A minimum on the ridge row is refined toward the first grid row
+// when the profile falls off the ridge, since LM cannot leave it. l1 must be
 // profiled per row because its basin is narrow: a single best point of the
 // grid can sit on the ridge far from the optimum, and one grid cell of l1
 // can change a row's SSE fourfold. Returns the best kExactSeeds of those
@@ -662,26 +663,20 @@ std::vector<num::Vector> exp_exp_variable_projection(const data::PerformanceSeri
     return slope < 0.0;
   };
 
-  // Each seed's l2 refined between its neighbour rows by Brent over log l2,
-  // with l1 profiled again at every l2 (between the rows' profiled rates,
-  // widened by a grid cell): the seed is then the optimum of the 2-D
-  // profile, which LM only confirms. The step-limit row stays exact, and so
-  // does the ridge row where it is a minimum of the profile: LM cannot
-  // leave the ridge, where its gradient along l2 vanishes.
+  // A seed on the ridge row whose profile falls as l2 rises is refined
+  // between the ridge and the first grid row by Brent over log l2, with l1
+  // profiled again at every l2 (between the two rows' profiled rates,
+  // widened by a grid cell): LM cannot leave the ridge, where its gradient
+  // along l2 vanishes. Every other seed is left on its row for LM to finish;
+  // refining those too cost more profile evaluations than the LM
+  // evaluations it saved.
   std::vector<double> col(n);
   std::vector<Point> seeds;
   for (std::size_t j : minima) {
     Point seed = profiled[j];
-    if (j + 1 < kRows && (j > 0 || ridge_rises(seed))) {
-      const std::size_t below = j > 0 ? j - 1 : j;
-      double lo1 = std::log(seed.l1);
-      double hi1 = lo1;
-      for (std::size_t r = below; r <= j + 1; ++r) {
-        lo1 = std::min(lo1, std::log(refine(r).l1));
-        hi1 = std::max(hi1, std::log(refine(r).l1));
-      }
-      lo1 -= log_step;
-      hi1 += log_step;
+    if (j == 0 && ridge_rises(seed)) {
+      const double lo1 = std::min(std::log(seed.l1), std::log(refine(1).l1)) - log_step;
+      const double hi1 = std::max(std::log(seed.l1), std::log(refine(1).l1)) + log_step;
       const auto at_rate = [&](double l2) {
         recovery_column(l2, col.data());
         Point p = profile_l1(col.data(), dot(col.data(), col.data()), lo1, hi1, seed.l1);
@@ -689,8 +684,8 @@ std::vector<num::Vector> exp_exp_variable_projection(const data::PerformanceSeri
         return p;
       };
       const opt::BrentResult best = opt::brent_minimize(
-          [&](double x) { return at_rate(std::exp(x)).sse; }, std::log(rates[below]),
-          std::log(rates[j + 1]), kLogRateTol);
+          [&](double x) { return at_rate(std::exp(x)).sse; }, std::log(rates[0]),
+          std::log(rates[1]), kLogRateTol);
       const Point refined = at_rate(std::exp(best.x));
       if (refined.sse < seed.sse) seed = refined;
     }

@@ -1,39 +1,34 @@
 #include "optimize/brent.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <tuple>
 
 namespace prm::opt {
 
-BrentResult brent_minimize(const std::function<double(double)>& f, double lo, double hi,
-                           double x_tol, int max_evaluations) {
-  if (lo > hi) std::swap(lo, hi);
-  constexpr double kGolden = 0.3819660112501051;    // (3 - sqrt(5)) / 2
+BrentResult brent_minimize(const std::function<double(double)>& f, double a, double b,
+                           double x_tol) {
+  constexpr double kGolden = 0.3819660112501051;  // (3 - sqrt(5)) / 2
   constexpr double kSqrtEps = 1.4901161193847656e-8;
-  double a = lo;
-  double b = hi;
-  // x: best point so far; w: second best; v: the previous w.
-  double x = a + kGolden * (b - a);
-  double w = x;
-  double v = x;
-  BrentResult res;
-  double fx = f(x);
-  double fw = fx;
-  double fv = fx;
-  res.evaluations = 1;
-  double d = 0.0;  // the last step
-  double e = 0.0;  // the step before it
-  while (res.evaluations < max_evaluations) {
+  constexpr int kMaxEvaluations = 200;
+  if (a > b) std::swap(a, b);
+  // x: the best point so far, w: the second best, v: the previous w; d: the
+  // last step, e: the one before it.
+  double x = a + kGolden * (b - a), w = x, v = x;
+  double fx = f(x), fw = fx, fv = fx;
+  double d = 0.0, e = 0.0;
+  BrentResult res{x, fx, 1, false};
+  for (; res.evaluations < kMaxEvaluations; ++res.evaluations) {
     const double m = 0.5 * (a + b);
     const double tol = kSqrtEps * std::fabs(x) + x_tol;
     if (std::fabs(x - m) <= 2.0 * tol - 0.5 * (b - a)) {
       res.converged = true;
       break;
     }
-    // Fit a parabola through x, w, v; take its vertex when it lies inside
+    // The vertex of the parabola through x, w, v, taken when it lies inside
     // [a, b] and the step is less than half the step before last.
-    double p = 0.0;
-    double q = 0.0;
+    double p = 0.0, q = 0.0;
     if (std::fabs(e) > tol) {
       const double r = (x - w) * (fx - fv);
       q = (x - v) * (fx - fw);
@@ -52,25 +47,15 @@ BrentResult brent_minimize(const std::function<double(double)>& f, double lo, do
     }
     const double u = x + (std::fabs(d) >= tol ? d : (d > 0.0 ? tol : -tol));
     const double fu = f(u);
-    ++res.evaluations;
     if (fu <= fx) {
       (u < x ? b : a) = x;
-      v = w;
-      fv = fw;
-      w = x;
-      fw = fx;
-      x = u;
-      fx = fu;
+      std::tie(v, fv, w, fw, x, fx) = std::make_tuple(w, fw, x, fx, u, fu);
     } else {
       (u < x ? a : b) = u;
       if (fu <= fw || w == x) {
-        v = w;
-        fv = fw;
-        w = u;
-        fw = fu;
+        std::tie(v, fv, w, fw) = std::make_tuple(w, fw, u, fu);
       } else if (fu <= fv || v == x || v == w) {
-        v = u;
-        fv = fu;
+        std::tie(v, fv) = std::make_tuple(u, fu);
       }
     }
   }
@@ -84,22 +69,14 @@ BrentResult scan_then_brent(const std::function<double(double)>& f, double lo, d
   if (samples < 3) throw std::invalid_argument("scan_then_brent: samples must be >= 3");
   if (lo > hi) std::swap(lo, hi);
   const double h = (hi - lo) / (samples - 1);
-  double best_x = lo;
-  double best_f = f(lo);
+  double best_x = lo, best_f = f(lo);
   for (int i = 1; i < samples; ++i) {
-    const double x = lo + i * h;
-    const double fx = f(x);
-    if (fx < best_f) {
-      best_f = fx;
-      best_x = x;
-    }
+    const double fx = f(lo + i * h);
+    if (fx < best_f) std::tie(best_x, best_f) = std::make_tuple(lo + i * h, fx);
   }
   BrentResult res = brent_minimize(f, std::max(lo, best_x - h), std::min(hi, best_x + h), x_tol);
   res.evaluations += samples;
-  if (best_f < res.fx) {
-    res.x = best_x;
-    res.fx = best_f;
-  }
+  if (best_f < res.fx) std::tie(res.x, res.fx) = std::make_tuple(best_x, best_f);
   return res;
 }
 

@@ -12,14 +12,14 @@ struct BrentResult {
   double x = 0.0;
   double fx = 0.0;
   int evaluations = 0;
-  bool converged = false;
+  bool converged = false;  ///< x is known to the tolerance (else 200 calls ran out).
 };
 
-/// Minimize f on [lo, hi] (Brent 1973, "localmin"). Stops when x is known to
-/// within sqrt(eps) |x| + x_tol, or after max_evaluations calls of f. f need
-/// not be unimodal, but the result is then only a local minimum.
+/// Minimize f on [lo, hi] (Brent 1973, "localmin") to within
+/// sqrt(eps) |x| + x_tol. f need not be unimodal, but the result is then
+/// only a local minimum.
 BrentResult brent_minimize(const std::function<double(double)>& f, double lo, double hi,
-                           double x_tol = 1e-10, int max_evaluations = 200);
+                           double x_tol = 1e-10);
 
 /// Coarse-to-fine scan: sample [lo, hi] at `samples` points, then refine the
 /// best cell with Brent's method. Robust when several local minima exist

@@ -220,10 +220,11 @@ TEST(FitModel, WarmStartRefitMatchesColdFitAtAFractionOfTheWork) {
 }
 
 TEST(FitModel, StartPolicyFollowsTheObjective) {
-  // The quadratic's one exact guess suffices under any convex loss; Cauchy
-  // is not convex and keeps the full set (the guess, 2 jittered copies, 8
-  // sampled). Competing risks' one exact start is the least-squares
-  // optimum, so only the plain unweighted SSE runs it alone.
+  // The quadratic's one exact guess is the plain SSE's optimum; a weighted
+  // or Huber fit adds one sampled start, since its optimum may lie off the
+  // guess's face; Cauchy is not convex and keeps the full set (the guess, 2
+  // jittered copies, 8 sampled). Competing risks' one exact start is the
+  // least-squares optimum, so only the plain unweighted SSE runs it alone.
   const auto& ds = data::recession("1990-93");
   const auto starts = [&ds](const char* model, opt::LossKind loss, bool weighted) {
     FitOptions options;
@@ -234,8 +235,8 @@ TEST(FitModel, StartPolicyFollowsTheObjective) {
     return fit.starts_tried;
   };
   EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, false), 1);
-  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, true), 1);
-  EXPECT_EQ(starts("quadratic", opt::LossKind::kHuber, false), 1);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kSquared, true), 2);
+  EXPECT_EQ(starts("quadratic", opt::LossKind::kHuber, false), 2);
   EXPECT_EQ(starts("quadratic", opt::LossKind::kCauchy, false), 11);
   EXPECT_EQ(starts("competing-risks", opt::LossKind::kSquared, false), 1);
   EXPECT_EQ(starts("competing-risks", opt::LossKind::kSquared, true), 11);
@@ -273,6 +274,55 @@ TEST(FitModel, WarmStartOutsideBoundsIsClippedNotFatal) {
   (*opts.warm_start)[0] = -5.0;
   opts.multistart.warm_sampled_starts = 4;  // safety net for the bad seed
   const FitResult fit = fit_model("quadratic", series, 0, opts);
+  EXPECT_TRUE(fit.success());
+}
+
+// P(t) = 1 - k^{-t/710}, k > 0: the curve saturates at 1 as k -> inf, and
+// pow(inf, -t/710) is 0, so at k = inf every residual of a step to 1 is
+// exactly 0. With u = log k that is 1 - e^{-t u/710}, whose Gauss-Newton
+// steps along u are ~710/t long: LM walks u past log(DBL_MAX) ~ 709.8, where
+// k = e^u overflows.
+class SaturatingModel final : public ResilienceModel {
+ public:
+  std::string name() const override { return "saturating"; }
+  std::string description() const override { return "P(t) = 1 - k^(-t/710)"; }
+  std::size_t num_parameters() const override { return 1; }
+  std::vector<std::string> parameter_names() const override { return {"k"}; }
+  std::vector<opt::Bound> parameter_bounds() const override {
+    return {opt::Bound::positive()};
+  }
+  double evaluate(double t, const num::Vector& p) const override {
+    return 1.0 - std::pow(p[0], -t / 710.0);
+  }
+  std::vector<num::Vector> initial_guesses(const data::PerformanceSeries&) const override {
+    return {{std::exp(1.0)}};
+  }
+  std::pair<num::Vector, num::Vector> search_box(
+      const data::PerformanceSeries&) const override {
+    return {{1.5}, {10.0}};
+  }
+  void tune_multistart(opt::MultistartOptions& options, const FitObjective&) const override {
+    options.sampled_starts = 0;
+    options.jitter_per_start = 0;
+    options.polish_with_nelder_mead = false;
+  }
+  std::unique_ptr<ResilienceModel> clone() const override {
+    return std::make_unique<SaturatingModel>(*this);
+  }
+};
+
+TEST(FitModel, StepToAnInfiniteParameterIsRejected) {
+  // A step to 1 at t = 1..20: the optimum is the limit k -> inf. A step that
+  // overflows k leaves every residual finite (0), so only fit_model's
+  // finite-parameter guard keeps LM from ending on k = inf, which success()
+  // refuses.
+  std::vector<double> times(20);
+  for (std::size_t i = 0; i < times.size(); ++i) times[i] = static_cast<double>(i + 1);
+  const data::PerformanceSeries step("step", times, std::vector<double>(times.size(), 1.0));
+  const FitResult fit = fit_model(SaturatingModel(), step, 0);
+  ASSERT_EQ(fit.parameters().size(), 1u);
+  EXPECT_TRUE(std::isfinite(fit.parameters()[0])) << fit.parameters()[0];
+  EXPECT_GT(fit.parameters()[0], 1e300);
   EXPECT_TRUE(fit.success());
 }
 
