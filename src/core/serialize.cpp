@@ -1,9 +1,6 @@
 #include "core/serialize.hpp"
 
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
 namespace prm::core {
@@ -12,38 +9,7 @@ namespace {
 
 constexpr int kFormatVersion = 1;
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("load_fit: " + what);
-}
-
-std::string expect_key(std::istream& in, const std::string& key) {
-  std::string k;
-  if (!(in >> k)) fail("unexpected end of input, wanted '" + key + "'");
-  if (k != key) fail("expected '" + key + "', found '" + k + "'");
-  return k;
-}
-
-double read_double(std::istream& in, const char* what) {
-  // Token + strtod instead of operator>>: the extractor rejects "inf"/"nan"
-  // even though the %.17g writer can produce them (e.g. an sse stamped on a
-  // never-fitted result). The codec must read back anything it wrote.
-  std::string tok;
-  if (!(in >> tok)) fail(std::string("missing ") + what);
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) fail(std::string("bad value for ") + what);
-  return v;
-}
-
-std::vector<double> read_doubles(std::istream& in) {
-  std::size_t n = 0;
-  if (!(in >> n)) fail("missing count");
-  std::vector<double> v(n);
-  for (double& x : v) x = read_double(in, "numeric list entry");
-  return v;
-}
-
-opt::StopReason parse_stop(const std::string& s) {
+opt::StopReason parse_stop(std::string_view s) {
   if (s == "converged") return opt::StopReason::kConverged;
   if (s == "max-iterations") return opt::StopReason::kMaxIterations;
   if (s == "stalled") return opt::StopReason::kStalled;
@@ -52,7 +18,7 @@ opt::StopReason parse_stop(const std::string& s) {
 
 }  // namespace
 
-void save_fit(std::ostream& out, const FitResult& fit) {
+void save_fit(std::string& out, const FitResult& fit) {
   const std::string name = fit.model().name();
   if (!ModelRegistry::instance().contains(name)) {
     throw std::invalid_argument("save_fit: model '" + name +
@@ -61,23 +27,26 @@ void save_fit(std::ostream& out, const FitResult& fit) {
   if (fit.series().name().find('\n') != std::string::npos) {
     throw std::invalid_argument("save_fit: series name must not contain newlines");
   }
-  out << "prm-fit " << kFormatVersion << '\n';
-  out << "model " << name << '\n';
-  out << "holdout " << fit.holdout() << '\n';
-  out << std::setprecision(17);
-  out << "parameters " << fit.parameters().size();
-  for (double p : fit.parameters()) out << ' ' << p;
-  out << '\n';
-  out << "series " << (fit.series().name().empty() ? "unnamed" : fit.series().name())
-      << '\n';
-  out << "times " << fit.series().size();
-  for (double t : fit.series().times()) out << ' ' << t;
-  out << '\n';
-  out << "values " << fit.series().size();
-  for (double v : fit.series().values()) out << ' ' << v;
-  out << '\n';
-  out << "sse " << fit.sse << '\n';
-  out << "stop " << opt::to_string(fit.stop_reason) << '\n';
+  TextWriter w(out);
+  w << "prm-fit " << kFormatVersion << '\n';
+  w << "model " << name << '\n';
+  w << "holdout " << fit.holdout() << '\n';
+  w << "parameters ";
+  w.list(fit.parameters());
+  w << "series " << (fit.series().name().empty() ? "unnamed" : fit.series().name())
+    << '\n';
+  w << "times ";
+  w.list(fit.series().times());
+  w << "values ";
+  w.list(fit.series().values());
+  w << "sse " << fit.sse << '\n';
+  w << "stop " << opt::to_string(fit.stop_reason) << '\n';
+}
+
+void save_fit(std::ostream& out, const FitResult& fit) {
+  std::string text;
+  save_fit(text, fit);
+  out << text;
 }
 
 void save_fit_file(const std::string& path, const FitResult& fit) {
@@ -87,58 +56,62 @@ void save_fit_file(const std::string& path, const FitResult& fit) {
   if (!out) throw std::runtime_error("save_fit_file: write failed for " + path);
 }
 
-FitResult load_fit(std::istream& in) {
-  expect_key(in, "prm-fit");
-  int version = 0;
-  if (!(in >> version)) fail("missing format version");
+FitResult load_fit(TextReader& in) {
+  const char* outer = in.set_context("load_fit");
+  in.expect("prm-fit");
+  const std::uint64_t version = in.count("format version");
   if (version != kFormatVersion) {
-    fail("unsupported format version " + std::to_string(version));
+    in.fail("unsupported format version " + std::to_string(version));
   }
 
-  expect_key(in, "model");
-  std::string model_name;
-  if (!(in >> model_name)) fail("missing model name");
+  in.expect("model");
+  const std::string model_name(in.token("model name"));
   if (!ModelRegistry::instance().contains(model_name)) {
-    fail("unknown model '" + model_name + "' (register it before loading)");
+    in.fail("unknown model '" + model_name + "' (register it before loading)");
   }
 
-  expect_key(in, "holdout");
-  std::size_t holdout = 0;
-  if (!(in >> holdout)) fail("missing holdout");
+  in.expect("holdout");
+  const std::size_t holdout = in.count("holdout");
 
-  expect_key(in, "parameters");
-  const std::vector<double> params = read_doubles(in);
+  in.expect("parameters");
+  const std::vector<double> params = in.list("parameters");
 
-  expect_key(in, "series");
-  std::string series_name;
-  if (!(in >> series_name)) fail("missing series name");
+  in.expect("series");
+  std::string series_name(in.token("series name"));
 
-  expect_key(in, "times");
-  std::vector<double> times = read_doubles(in);
-  expect_key(in, "values");
-  std::vector<double> values = read_doubles(in);
-  if (times.size() != values.size()) fail("times/values size mismatch");
+  in.expect("times");
+  std::vector<double> times = in.list("times");
+  in.expect("values");
+  std::vector<double> values = in.list("values");
+  if (times.size() != values.size()) in.fail("times/values size mismatch");
 
-  expect_key(in, "sse");
-  const double sse = read_double(in, "sse");
-  expect_key(in, "stop");
-  std::string stop;
-  if (!(in >> stop)) fail("missing stop reason");
+  in.expect("sse");
+  const double sse = in.number("sse");
+  in.expect("stop");
+  const opt::StopReason stop = parse_stop(in.token("stop reason"));
 
   ModelPtr model = ModelRegistry::instance().create(model_name);
   if (params.size() != model->num_parameters()) {
-    fail("parameter count does not match model '" + model_name + "'");
+    in.fail("parameter count does not match model '" + model_name + "'");
   }
   try {
-    data::PerformanceSeries series(series_name, std::move(times), std::move(values));
+    data::PerformanceSeries series(std::move(series_name), std::move(times),
+                                   std::move(values));
     FitResult fit(std::shared_ptr<const ResilienceModel>(std::move(model)), params,
                   std::move(series), holdout);
     fit.sse = sse;
-    fit.stop_reason = parse_stop(stop);
+    fit.stop_reason = stop;
+    in.set_context(outer);
     return fit;
   } catch (const std::invalid_argument& e) {
-    fail(e.what());
+    in.fail(e.what());
   }
+}
+
+FitResult load_fit(std::istream& in) {
+  const std::string text = read_rest(in);
+  TextReader reader(text, "load_fit");
+  return load_fit(reader);
 }
 
 FitResult load_fit_file(const std::string& path) {

@@ -19,19 +19,23 @@
 #include <string>
 
 #include "core/fitting.hpp"
+#include "core/text_codec.hpp"
 
 namespace prm::core {
 
-/// Serialize. The model must be registered (its name is what gets stored);
-/// throws std::invalid_argument otherwise so a load can always succeed.
+/// Serialize (appending to `out`). The model must be registered (its name is
+/// what gets stored); throws std::invalid_argument otherwise so a load can
+/// always succeed.
+void save_fit(std::string& out, const FitResult& fit);
 void save_fit(std::ostream& out, const FitResult& fit);
 
 /// Write to a file path; throws std::runtime_error on I/O failure.
 void save_fit_file(const std::string& path, const FitResult& fit);
 
-/// Deserialize; throws std::runtime_error on malformed input or unknown
-/// model names.
-FitResult load_fit(std::istream& in);
+/// Deserialize one fit at the cursor (the cursor ends after its "stop" line);
+/// throws std::runtime_error on malformed input or unknown model names.
+FitResult load_fit(TextReader& in);
+FitResult load_fit(std::istream& in);  ///< Parses the rest of the stream.
 
 FitResult load_fit_file(const std::string& path);
 

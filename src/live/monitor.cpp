@@ -4,13 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <limits>
-#include <map>
-#include <sstream>
+#include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "core/model.hpp"
@@ -38,162 +36,155 @@ std::size_t shard_of(const std::string& name, std::size_t shard_count) {
   return static_cast<std::size_t>(x % shard_count);
 }
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("Monitor::load: " + what);
-}
-
 [[noreturn]] void replay_fail(const std::string& what) {
   throw std::runtime_error("Monitor::recover: " + what);
 }
 
-void expect_key(std::istream& in, const std::string& key) {
-  std::string k;
-  if (!(in >> k)) fail("unexpected end of input, wanted '" + key + "'");
-  if (k != key) fail("expected '" + key + "', found '" + k + "'");
-}
-
-double read_double(std::istream& in, const std::string& key) {
-  // Token + strtod instead of operator>>: fitted predictions can be
-  // legitimately non-finite (a diverging trough forecast), and the stream
-  // extractor rejects the "inf"/"nan" the writer printed for them.
-  std::string tok;
-  if (!(in >> tok)) fail("bad value for '" + key + "'");
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size()) fail("bad value for '" + key + "'");
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& in, const std::string& key) {
-  std::uint64_t v = 0;
-  if (!(in >> v)) fail("bad count for '" + key + "'");
-  return v;
-}
-
-void write_optional(std::ostream& out, const std::optional<double>& v) {
+void write_optional(core::TextWriter& out, const std::optional<double>& v) {
   out << ' ' << (v ? 1 : 0) << ' ' << (v ? *v : 0.0);
 }
 
-std::optional<double> read_optional(std::istream& in, const std::string& key) {
-  const std::uint64_t has = read_u64(in, key);
-  const double v = read_double(in, key);
+std::optional<double> read_optional(core::TextReader& in, std::string_view key) {
+  const std::uint64_t has = in.count(key);
+  const double v = in.number(key);
   return has ? std::optional<double>(v) : std::nullopt;
 }
 
 /// Alert-rule line: "<kind> <threshold> <has_phase> <phase> <once> <name>".
 /// The name goes LAST and is read to end of line, so rule names may contain
 /// spaces. Shared by the snapshot format and the kAlertRule WAL payload.
-void write_rule(std::ostream& out, const AlertRule& rule) {
-  out << to_string(rule.kind) << ' ' << rule.threshold << ' '
-      << (rule.phase ? 1 : 0) << ' '
-      << to_string(rule.phase ? *rule.phase : StreamPhase::kNominal) << ' '
+void write_rule(core::TextWriter& out, const AlertRule& rule) {
+  out << to_string(rule.kind) << ' ' << rule.threshold << ' ' << (rule.phase ? 1 : 0)
+      << ' ' << to_string(rule.phase ? *rule.phase : StreamPhase::kNominal) << ' '
       << (rule.once_per_event ? 1 : 0) << ' ' << rule.name;
 }
 
-AlertRule read_rule(std::istream& in) {
+AlertRule read_rule(core::TextReader& in) {
   AlertRule rule;
-  std::string kind;
-  std::string phase;
-  if (!(in >> kind)) fail("truncated alert rule");
-  rule.kind = alert_kind_from_string(kind);
-  rule.threshold = read_double(in, "rule");
-  const bool has_phase = read_u64(in, "rule") != 0;
-  if (!(in >> phase)) fail("truncated alert rule");
-  if (has_phase) rule.phase = phase_from_string(phase);
-  rule.once_per_event = read_u64(in, "rule") != 0;
-  in >> std::ws;
-  std::getline(in, rule.name);
-  if (rule.name.empty()) fail("alert rule with empty name");
+  try {
+    rule.kind = alert_kind_from_string(in.token("alert rule kind"));
+    rule.threshold = in.number("alert rule threshold");
+    const bool has_phase = in.count("alert rule") != 0;
+    const std::string_view phase = in.token("alert rule phase");
+    if (has_phase) rule.phase = phase_from_string(phase);
+  } catch (const std::invalid_argument& e) {
+    in.fail(e.what());
+  }
+  rule.once_per_event = in.count("alert rule") != 0;
+  rule.name = in.rest_of_line();
+  if (rule.name.empty()) in.fail("alert rule with empty name");
   return rule;
 }
 
-/// One WAL record, parsed into replay form. Mutations of a stream sort by
-/// (name, incarnation, rank): the create of an incarnation first (rank 0),
-/// its ingest/refit ops by their per-stream sequence number, its remove last.
-/// That keying -- not the segment file a record sat in -- defines replay
-/// order, which keeps recovery correct even across a shard-count change.
+/// The WAL records of one recovery, parsed once into replay form. An op is
+/// small and flat: its stream is an index into the plan's distinct names
+/// (views into the payloads, which outlive the plan), and its samples and
+/// refit result sit in the plan's side tables. Mutations of a stream sort by (name, incarnation,
+/// rank): the create of an incarnation first (rank 0), its ingest/refit ops
+/// by their per-stream sequence number, its remove last. That keying -- not
+/// the segment file a record sat in -- defines replay order, which keeps
+/// recovery correct even across a shard-count change.
 struct ReplayOp {
-  enum Kind { kCreate = 0, kMutation = 1, kRemove = 2 };
-  Kind kind = kMutation;
   wal::RecordType type = wal::RecordType::kIngest;
-  std::string name;
+  std::uint32_t stream = 0;  ///< Index of the stream's name in ReplayPlan::names.
   std::uint64_t incarnation = 0;
-  std::uint64_t rank = 0;
-  std::uint64_t seq = 0;
-  double t = 0.0;
-  double value = 0.0;
-  std::vector<std::pair<double, double>> samples;  ///< kIngestBatch only.
+  std::uint64_t rank = 0;  ///< The per-stream sequence number of a mutation.
+  std::size_t first = 0;   ///< Ingests: first sample; kRefit: index in refits.
+  std::size_t count = 0;   ///< Ingests: number of samples.
+};
+
+struct RefitOp {
   std::uint64_t ordinal = 0;
   bool warm = false;
   std::optional<double> predicted_recovery;
   double predicted_trough_time = 0.0;
   double predicted_trough_value = 0.0;
-  std::optional<core::FitResult> fit;
+  core::FitResult fit;
 };
 
-ReplayOp parse_op(const wal::Record& record) {
+struct ReplayPlan {
+  std::vector<ReplayOp> ops;
+  std::vector<std::pair<double, double>> samples;
+  std::vector<RefitOp> refits;
+  std::vector<std::pair<std::uint64_t, AlertRule>> rules;
+  std::vector<std::string_view> names;  ///< Distinct stream names, first seen first.
+  std::unordered_map<std::string_view, std::uint32_t> name_ids;
+
+  std::uint32_t intern(std::string_view name) {
+    const auto [it, fresh] =
+        name_ids.try_emplace(name, static_cast<std::uint32_t>(names.size()));
+    if (fresh) names.push_back(name);
+    return it->second;
+  }
+};
+
+void parse_record(const wal::Record& record, ReplayPlan& plan) {
+  core::TextReader in(record.payload, "Monitor::recover");
+  if (record.type == wal::RecordType::kAlertRule) {
+    const std::uint64_t seq = in.count("alert-rule sequence");
+    plan.rules.emplace_back(seq, read_rule(in));
+    return;
+  }
   ReplayOp op;
   op.type = record.type;
-  std::istringstream in(record.payload);
+  op.incarnation = in.count("incarnation");
   switch (record.type) {
     case wal::RecordType::kStreamCreate:
-      op.kind = ReplayOp::kCreate;
-      op.incarnation = read_u64(in, "create");
-      if (!(in >> op.name)) fail("create record without a stream name");
+      op.stream = plan.intern(in.token("stream name"));
       op.rank = 0;
       break;
     case wal::RecordType::kStreamRemove:
-      op.kind = ReplayOp::kRemove;
-      op.incarnation = read_u64(in, "remove");
-      if (!(in >> op.name)) fail("remove record without a stream name");
+      op.stream = plan.intern(in.token("stream name"));
       op.rank = std::numeric_limits<std::uint64_t>::max();
       break;
     case wal::RecordType::kIngest:
-      op.incarnation = read_u64(in, "ingest");
-      op.seq = read_u64(in, "ingest");
-      if (!(in >> op.name)) fail("ingest record without a stream name");
-      op.t = read_double(in, "ingest");
-      op.value = read_double(in, "ingest");
-      op.rank = op.seq;
+      op.rank = in.count("sequence number");
+      op.stream = plan.intern(in.token("stream name"));
+      op.first = plan.samples.size();
+      op.count = 1;
+      {
+        const double t = in.number("ingest time");
+        plan.samples.emplace_back(t, in.number("ingest value"));
+      }
       break;
     case wal::RecordType::kIngestBatch: {
-      op.incarnation = read_u64(in, "ingest-batch");
-      op.seq = read_u64(in, "ingest-batch");
-      if (!(in >> op.name)) fail("ingest-batch record without a stream name");
-      const std::uint64_t n = read_u64(in, "ingest-batch");
-      if (n == 0) fail("empty ingest-batch record");
-      op.samples.reserve(static_cast<std::size_t>(n));
+      op.rank = in.count("sequence number");
+      op.stream = plan.intern(in.token("stream name"));
+      const std::uint64_t n = in.count("ingest-batch size");
+      if (n == 0) in.fail("empty ingest-batch record");
+      // A sample takes at least four bytes (" t v").
+      if (n > in.remaining() / 4) in.fail("truncated ingest-batch record");
+      op.first = plan.samples.size();
+      op.count = static_cast<std::size_t>(n);
       for (std::uint64_t i = 0; i < n; ++i) {
-        const double t = read_double(in, "ingest-batch");
-        const double value = read_double(in, "ingest-batch");
-        op.samples.emplace_back(t, value);
+        const double t = in.number("ingest-batch time");
+        plan.samples.emplace_back(t, in.number("ingest-batch value"));
       }
-      op.rank = op.seq;
       break;
     }
     case wal::RecordType::kRefitFail:
-      op.incarnation = read_u64(in, "refit-fail");
-      op.seq = read_u64(in, "refit-fail");
-      if (!(in >> op.name)) fail("refit-fail record without a stream name");
-      op.rank = op.seq;
+      op.rank = in.count("sequence number");
+      op.stream = plan.intern(in.token("stream name"));
       break;
-    case wal::RecordType::kRefit:
-      op.incarnation = read_u64(in, "refit");
-      op.seq = read_u64(in, "refit");
-      op.ordinal = read_u64(in, "refit");
-      op.warm = read_u64(in, "refit") != 0;
-      if (!(in >> op.name)) fail("refit record without a stream name");
-      expect_key(in, "predicted");
-      op.predicted_recovery = read_optional(in, "predicted");
-      op.predicted_trough_time = read_double(in, "predicted");
-      op.predicted_trough_value = read_double(in, "predicted");
-      op.fit = core::load_fit(in);
-      op.rank = op.seq;
+    case wal::RecordType::kRefit: {
+      op.rank = in.count("sequence number");
+      const std::uint64_t ordinal = in.count("refit ordinal");
+      const bool warm = in.count("refit warm flag") != 0;
+      op.stream = plan.intern(in.token("stream name"));
+      in.expect("predicted");
+      const std::optional<double> predicted_recovery = read_optional(in, "predicted");
+      const double trough_time = in.number("predicted");
+      const double trough_value = in.number("predicted");
+      op.first = plan.refits.size();
+      plan.refits.push_back(RefitOp{ordinal, warm, predicted_recovery, trough_time,
+                                    trough_value, core::load_fit(in)});
       break;
-    case wal::RecordType::kAlertRule:
-      fail("alert-rule record routed into the stream replayer");
+    }
+    default:
+      in.fail("unknown record type " +
+              std::to_string(static_cast<unsigned>(record.type)));
   }
-  return op;
+  plan.ops.push_back(op);
 }
 
 }  // namespace
@@ -310,10 +301,10 @@ Monitor::Entry& Monitor::entry_for(const std::string& name) {
     auto entry = std::make_unique<Entry>(name, options_.stream);
     entry->incarnation = incarnation_counter_.fetch_add(1) + 1;
     if (wal_) {
-      std::ostringstream payload;
-      payload << entry->incarnation << ' ' << name;
+      std::string payload;
+      core::TextWriter(payload) << entry->incarnation << ' ' << name;
       wal_->append(shard_index_of(name),
-                   wal::Record{wal::RecordType::kStreamCreate, payload.str()});
+                   wal::Record{wal::RecordType::kStreamCreate, std::move(payload)});
     }
     it = shard.streams.emplace(name, std::move(entry)).first;
   }
@@ -362,11 +353,11 @@ std::vector<TransitionEvent> Monitor::ingest(const std::string& stream, double t
     // of a stream's records is exactly the order they mutated its state.
     entry.state.validate_push(t, value);
     if (wal_) {
-      std::ostringstream payload;
-      payload << std::setprecision(17) << entry.incarnation << ' '
-              << (entry.wal_seq + 1) << ' ' << stream << ' ' << t << ' ' << value;
+      std::string payload;
+      core::TextWriter(payload) << entry.incarnation << ' ' << (entry.wal_seq + 1) << ' '
+                                << stream << ' ' << t << ' ' << value;
       wal_->append(shard_index_of(stream),
-                   wal::Record{wal::RecordType::kIngest, payload.str()});
+                   wal::Record{wal::RecordType::kIngest, std::move(payload)});
     }
     entry.wal_seq += 1;
     fx = apply_ingest_locked(entry, t, value);
@@ -430,12 +421,13 @@ std::vector<TransitionEvent> Monitor::ingest_batch(
     }
 
     if (wal_) {
-      std::ostringstream payload;
-      payload << std::setprecision(17) << entry.incarnation << ' '
-              << (entry.wal_seq + 1) << ' ' << stream << ' ' << samples.size();
-      for (const auto& [t, value] : samples) payload << ' ' << t << ' ' << value;
+      std::string payload;
+      core::TextWriter w(payload);
+      w << entry.incarnation << ' ' << (entry.wal_seq + 1) << ' ' << stream << ' '
+        << samples.size();
+      for (const auto& [t, value] : samples) w << ' ' << t << ' ' << value;
       wal_->append(shard_index_of(stream),
-                   wal::Record{wal::RecordType::kIngestBatch, payload.str()});
+                   wal::Record{wal::RecordType::kIngestBatch, std::move(payload)});
     }
     entry.wal_seq += 1;  // the whole batch is ONE sequencing step
     for (const auto& [t, value] : samples) {
@@ -484,10 +476,10 @@ bool Monitor::remove_stream(const std::string& stream) {
     {
       std::lock_guard<std::mutex> entry_lock(entry.m);
       if (wal_) {
-        std::ostringstream payload;
-        payload << entry.incarnation << ' ' << stream;
+        std::string payload;
+        core::TextWriter(payload) << entry.incarnation << ' ' << stream;
         wal_->append(shard_index_of(stream),
-                     wal::Record{wal::RecordType::kStreamRemove, payload.str()});
+                     wal::Record{wal::RecordType::kStreamRemove, std::move(payload)});
       }
       entry.removed = true;
     }
@@ -516,10 +508,11 @@ void Monitor::add_alert_rule(const AlertRule& rule) {
                                 rule.name + "'");
   }
   if (wal_) {
-    std::ostringstream payload;
-    payload << std::setprecision(17) << (meta_seq_ + 1) << ' ';
-    write_rule(payload, rule);
-    wal_->append(0, wal::Record{wal::RecordType::kAlertRule, payload.str()});
+    std::string payload;
+    core::TextWriter w(payload);
+    w << (meta_seq_ + 1) << ' ';
+    write_rule(w, rule);
+    wal_->append(0, wal::Record{wal::RecordType::kAlertRule, std::move(payload)});
   }
   meta_seq_ += 1;
   alerts_.add_rule(rule);
@@ -559,16 +552,16 @@ void Monitor::refit_job(Entry& entry, const std::string& name, std::uint64_t ord
       // verbatim instead of re-running the optimizer, so a recovered monitor
       // is byte-identical to the one that crashed.
       if (wal_) {
-        std::ostringstream payload;
-        payload << std::setprecision(17) << entry.incarnation << ' '
-                << (entry.wal_seq + 1) << ' ' << ordinal << ' '
-                << (warm_start ? 1 : 0) << ' ' << name << '\n';
-        payload << "predicted";
-        write_optional(payload, t_r);
-        payload << ' ' << trough_t << ' ' << trough_v << '\n';
+        std::string payload;
+        core::TextWriter w(payload);
+        w << entry.incarnation << ' ' << (entry.wal_seq + 1) << ' ' << ordinal << ' '
+          << (warm_start ? 1 : 0) << ' ' << name << '\n';
+        w << "predicted";
+        write_optional(w, t_r);
+        w << ' ' << trough_t << ' ' << trough_v << '\n';
         core::save_fit(payload, fit);
         wal_->append(shard_index_of(name),
-                     wal::Record{wal::RecordType::kRefit, payload.str()});
+                     wal::Record{wal::RecordType::kRefit, std::move(payload)});
       }
       entry.wal_seq += 1;
       entry.fit = std::move(fit);
@@ -588,10 +581,11 @@ void Monitor::refit_job(Entry& entry, const std::string& name, std::uint64_t ord
     if (entry.removed) return;
     if (wal_) {
       try {
-        std::ostringstream payload;
-        payload << entry.incarnation << ' ' << (entry.wal_seq + 1) << ' ' << name;
+        std::string payload;
+        core::TextWriter(payload) << entry.incarnation << ' ' << (entry.wal_seq + 1) << ' '
+                                  << name;
         wal_->append(shard_index_of(name),
-                     wal::Record{wal::RecordType::kRefitFail, payload.str()});
+                     wal::Record{wal::RecordType::kRefitFail, std::move(payload)});
       } catch (...) {
         // Logging the failure failed too; still count it so live counters
         // stay truthful. Recovery may then under-count failed refits.
@@ -736,121 +730,121 @@ std::size_t Monitor::stream_count() const {
   return count;
 }
 
-void Monitor::save(std::ostream& out) {
+void Monitor::save(std::string& out) {
   drain();  // quiesce refits so no entry mutates mid-snapshot
   // Name-sorted traversal keeps the on-disk format byte-identical to the
   // pre-sharded single-map registry, at any shard count.
   const auto entries = sorted_entries();
-  out << "prm-live " << kFormatVersion << '\n';
-  out << std::setprecision(17);
-  out << "model " << options_.model << '\n';
+  core::TextWriter w(out);
+  w << "prm-live " << kFormatVersion << '\n';
+  w << "model " << options_.model << '\n';
   {
     std::lock_guard<std::mutex> meta_lock(meta_m_);
-    out << "meta " << meta_seq_ << ' '
-        << incarnation_counter_.load(std::memory_order_relaxed) << '\n';
+    w << "meta " << meta_seq_ << ' ' << incarnation_counter_.load(std::memory_order_relaxed)
+      << '\n';
     const auto rules = alerts_.rules();
-    out << "alert_rules " << rules.size() << '\n';
+    w << "alert_rules " << rules.size() << '\n';
     for (const AlertRule& rule : rules) {
-      out << "rule ";
-      write_rule(out, rule);
-      out << '\n';
+      w << "rule ";
+      write_rule(w, rule);
+      w << '\n';
     }
   }
-  out << "streams " << entries.size() << '\n';
+  w << "streams " << entries.size() << '\n';
   for (const auto& [name, entry] : entries) {
     std::lock_guard<std::mutex> entry_lock(entry->m);
-    out << "stream " << name << '\n';
+    w << "stream " << name << '\n';
     entry->state.save(out);
     const bool has_fit = entry->fit.has_value();
-    out << "fit " << (has_fit ? 1 : 0) << '\n';
+    w << "fit " << (has_fit ? 1 : 0) << '\n';
     if (has_fit) core::save_fit(out, *entry->fit);
-    out << "fit_event_ordinal " << entry->fit_event_ordinal << '\n';
-    out << "counters " << entry->refits << ' ' << entry->warm_refits << ' '
-        << entry->failed_refits << ' ' << entry->samples_at_last_refit << '\n';
-    out << "wal " << entry->wal_seq << ' ' << entry->incarnation << '\n';
-    out << "predicted";
-    write_optional(out, entry->predicted_recovery);
-    write_optional(out, entry->predicted_trough_time);
-    write_optional(out, entry->predicted_trough_value);
-    out << '\n';
+    w << "fit_event_ordinal " << entry->fit_event_ordinal << '\n';
+    w << "counters " << entry->refits << ' ' << entry->warm_refits << ' '
+      << entry->failed_refits << ' ' << entry->samples_at_last_refit << '\n';
+    w << "wal " << entry->wal_seq << ' ' << entry->incarnation << '\n';
+    w << "predicted";
+    write_optional(w, entry->predicted_recovery);
+    write_optional(w, entry->predicted_trough_time);
+    write_optional(w, entry->predicted_trough_value);
+    w << '\n';
   }
-  if (!out) throw std::runtime_error("Monitor::save: write failed");
+}
+
+void Monitor::save(std::ostream& out) {
+  std::string text;
+  save(text);
+  if (!(out << text)) throw std::runtime_error("Monitor::save: write failed");
 }
 
 void Monitor::save_file(const std::string& path) {
   // Temp file + fsync + atomic rename: a crash mid-save leaves the previous
   // snapshot intact, never a half-written one.
-  std::ostringstream out;
-  save(out);
+  std::string text;
+  save(text);
   try {
-    wal::atomic_write_file(path, out.str());
+    wal::atomic_write_file(path, text);
   } catch (const std::exception& e) {
     throw std::runtime_error("Monitor::save_file: " + std::string(e.what()));
   }
 }
 
 std::unique_ptr<Monitor> Monitor::load(std::istream& in, MonitorOptions options) {
-  return load_impl(in, std::move(options), /*attach_wal=*/true);
+  const std::string text = core::read_rest(in);
+  core::TextReader reader(text, "Monitor::load");
+  return load_impl(reader, std::move(options), /*attach_wal=*/true);
 }
 
-std::unique_ptr<Monitor> Monitor::load_impl(std::istream& in, MonitorOptions options,
+std::unique_ptr<Monitor> Monitor::load_impl(core::TextReader& in, MonitorOptions options,
                                             bool attach_wal) {
-  expect_key(in, "prm-live");
-  int version = 0;
-  if (!(in >> version)) fail("missing format version");
+  in.expect("prm-live");
+  const std::uint64_t version = in.count("format version");
   if (version != kFormatVersion) {
-    fail("unknown snapshot version: found prm-live " + std::to_string(version) +
-         ", this build reads prm-live " + std::to_string(kFormatVersion) +
-         " (re-save the snapshot with a matching build)");
+    in.fail("unknown snapshot version: found prm-live " + std::to_string(version) +
+            ", this build reads prm-live " + std::to_string(kFormatVersion) +
+            " (re-save the snapshot with a matching build)");
   }
-  expect_key(in, "model");
-  std::string model_name;
-  if (!(in >> model_name)) fail("missing model name");
-  options.model = model_name;  // keep the warm-start path consistent on resume
+  in.expect("model");
+  options.model = in.token("model name");  // keep the warm-start path consistent on resume
 
   auto monitor = std::unique_ptr<Monitor>(new Monitor(std::move(options), DeferWalTag{}));
 
-  expect_key(in, "meta");
-  monitor->meta_seq_ = read_u64(in, "meta");
-  monitor->incarnation_counter_.store(read_u64(in, "meta"),
-                                      std::memory_order_relaxed);
-  expect_key(in, "alert_rules");
-  const std::uint64_t rule_count = read_u64(in, "alert_rules");
+  in.expect("meta");
+  monitor->meta_seq_ = in.count("meta");
+  monitor->incarnation_counter_.store(in.count("meta"), std::memory_order_relaxed);
+  in.expect("alert_rules");
+  const std::uint64_t rule_count = in.count("alert_rules");
   for (std::uint64_t i = 0; i < rule_count; ++i) {
-    expect_key(in, "rule");
+    in.expect("rule");
     monitor->alerts_.add_rule(read_rule(in));
   }
 
-  expect_key(in, "streams");
-  const std::uint64_t count = read_u64(in, "streams");
+  in.expect("streams");
+  const std::uint64_t count = in.count("streams");
   for (std::uint64_t i = 0; i < count; ++i) {
-    expect_key(in, "stream");
-    std::string name;
-    if (!(in >> name)) fail("missing stream name");
+    in.expect("stream");
+    const std::string name(in.token("stream name"));
 
-    auto entry = std::make_unique<Entry>(
-        StreamState::load(in, monitor->options_.stream));
-    expect_key(in, "fit");
-    if (read_u64(in, "fit") != 0) entry->fit = core::load_fit(in);
-    expect_key(in, "fit_event_ordinal");
-    entry->fit_event_ordinal = read_u64(in, "fit_event_ordinal");
-    expect_key(in, "counters");
-    entry->refits = read_u64(in, "counters");
-    entry->warm_refits = read_u64(in, "counters");
-    entry->failed_refits = read_u64(in, "counters");
-    entry->samples_at_last_refit =
-        static_cast<std::size_t>(read_u64(in, "counters"));
-    expect_key(in, "wal");
-    entry->wal_seq = read_u64(in, "wal");
-    entry->incarnation = read_u64(in, "wal");
-    expect_key(in, "predicted");
+    auto entry = std::make_unique<Entry>(StreamState::load(in, monitor->options_.stream));
+    in.expect("fit");
+    if (in.count("fit") != 0) entry->fit = core::load_fit(in);
+    in.expect("fit_event_ordinal");
+    entry->fit_event_ordinal = in.count("fit_event_ordinal");
+    in.expect("counters");
+    entry->refits = in.count("counters");
+    entry->warm_refits = in.count("counters");
+    entry->failed_refits = in.count("counters");
+    entry->samples_at_last_refit = static_cast<std::size_t>(in.count("counters"));
+    in.expect("wal");
+    entry->wal_seq = in.count("wal");
+    entry->incarnation = in.count("wal");
+    in.expect("predicted");
     entry->predicted_recovery = read_optional(in, "predicted");
     entry->predicted_trough_time = read_optional(in, "predicted");
     entry->predicted_trough_value = read_optional(in, "predicted");
 
     if (entry->state.name() != name) {
-      fail("stream record name mismatch: '" + name + "' vs '" + entry->state.name() +
-           "'");
+      in.fail("stream record name mismatch: '" + name + "' vs '" + entry->state.name() +
+              "'");
     }
     monitor->shard_for(name).streams.emplace(name, std::move(entry));
   }
@@ -874,15 +868,15 @@ std::unique_ptr<Monitor> Monitor::recover(MonitorOptions options) {
   wal::RecoveryStats stats;
   std::unique_ptr<Monitor> monitor;
   if (wal::file_exists(snapshot)) {
-    std::ifstream in(snapshot);
-    if (!in) throw std::runtime_error("Monitor::recover: cannot open " + snapshot);
-    monitor = load_impl(in, std::move(options), /*attach_wal=*/false);
+    const std::string text = wal::read_file(snapshot);
+    core::TextReader reader(text, "Monitor::load");
+    monitor = load_impl(reader, std::move(options), /*attach_wal=*/false);
     stats.snapshot_loaded = true;
   } else {
     monitor = std::unique_ptr<Monitor>(new Monitor(std::move(options), DeferWalTag{}));
   }
-  auto records = wal::read_all_records(monitor->options_.wal.dir, stats);
-  monitor->replay(std::move(records), stats);
+  const auto records = wal::read_all_records(monitor->options_.wal.dir, stats);
+  monitor->replay(records, stats);
   monitor->recovery_stats_ = stats;
   // Only now open the log for writing: replay never appends, and the fresh
   // segments the Wal creates start after everything just replayed.
@@ -895,39 +889,56 @@ std::unique_ptr<Monitor> Monitor::recover(MonitorOptions options) {
   return monitor;
 }
 
-void Monitor::replay(std::vector<wal::ReplayRecord> records,
+void Monitor::replay(const std::vector<wal::ReplayRecord>& records,
                      wal::RecoveryStats& stats) {
   // Nothing else runs during recovery: no scheduler jobs, no WAL, no other
   // threads -- so the registry is mutated without locks here.
-  std::vector<ReplayOp> ops;
-  ops.reserve(records.size());
-  std::vector<std::pair<std::uint64_t, AlertRule>> rules;
-  for (const wal::ReplayRecord& rr : records) {
-    if (rr.record.type == wal::RecordType::kAlertRule) {
-      std::istringstream in(rr.record.payload);
-      const std::uint64_t seq = read_u64(in, "alert-rule");
-      rules.emplace_back(seq, read_rule(in));
-    } else {
-      ops.push_back(parse_op(rr.record));
-    }
+  ReplayPlan plan;
+  plan.ops.reserve(records.size());
+  for (const wal::ReplayRecord& rr : records) parse_record(rr.record, plan);
+  if (plan.ops.size() > std::numeric_limits<std::uint32_t>::max()) {
+    replay_fail("too many records to replay");
   }
 
   // Replay order is defined by the keys INSIDE the records -- per stream by
   // (incarnation, seq), rules by meta_seq -- not by which segment file held
   // them. The per-entry gating below then skips anything the snapshot
-  // already covers and trips loudly on a genuine gap.
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const ReplayOp& a, const ReplayOp& b) {
-                     if (a.name != b.name) return a.name < b.name;
-                     if (a.incarnation != b.incarnation) {
-                       return a.incarnation < b.incarnation;
-                     }
-                     return a.rank < b.rank;
-                   });
-  std::stable_sort(rules.begin(), rules.end(),
+  // already covers and trips loudly on a genuine gap. Ops are ordered through
+  // an index: a counting sort by the name's rank among the distinct names,
+  // then each stream's ops by (incarnation, rank), ties kept in log order as
+  // a stable sort would. No op moves, and names are compared only to rank
+  // the distinct ones.
+  const std::vector<ReplayOp>& ops = plan.ops;
+  const std::size_t stream_count = plan.names.size();
+  std::vector<std::uint32_t> by_name(stream_count);
+  std::iota(by_name.begin(), by_name.end(), 0u);
+  std::sort(by_name.begin(), by_name.end(), [&plan](std::uint32_t a, std::uint32_t b) {
+    return plan.names[a] < plan.names[b];
+  });
+  std::vector<std::uint32_t> name_rank(stream_count);
+  for (std::uint32_t r = 0; r < stream_count; ++r) name_rank[by_name[r]] = r;
+  std::vector<std::uint32_t> first(stream_count + 1, 0);
+  for (const ReplayOp& op : ops) ++first[name_rank[op.stream] + 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint32_t> order(ops.size());
+  {
+    std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+    for (std::uint32_t i = 0; i < ops.size(); ++i) order[next[name_rank[ops[i].stream]]++] = i;
+  }
+  const auto by_sequence = [&ops](std::uint32_t a, std::uint32_t b) {
+    if (ops[a].incarnation != ops[b].incarnation) {
+      return ops[a].incarnation < ops[b].incarnation;
+    }
+    if (ops[a].rank != ops[b].rank) return ops[a].rank < ops[b].rank;
+    return a < b;
+  };
+  for (std::size_t r = 0; r < stream_count; ++r) {
+    std::sort(order.begin() + first[r], order.begin() + first[r + 1], by_sequence);
+  }
+  std::stable_sort(plan.rules.begin(), plan.rules.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  for (auto& [seq, rule] : rules) {
+  for (auto& [seq, rule] : plan.rules) {
     if (seq <= meta_seq_) {
       ++stats.skipped;
       continue;
@@ -948,99 +959,100 @@ void Monitor::replay(std::vector<wal::ReplayRecord> records,
   // result are the refit queue that died with the process -- remember them
   // (last edge per stream, like scheduler coalescing) so recover() can
   // re-queue them once the WAL is reattached.
-  std::map<std::string, std::uint64_t> pending;
+  for (std::size_t r = 0; r < stream_count; ++r) {
+    const std::string name(plan.names[by_name[r]]);
+    RegistryShard& shard = shard_for(name);
+    std::optional<std::uint64_t> pending;
+    for (std::uint32_t k = first[r]; k < first[r + 1]; ++k) {
+      const ReplayOp& op = ops[order[k]];
+      auto it = shard.streams.find(name);
+      Entry* entry = (it == shard.streams.end()) ? nullptr : it->second.get();
 
-  for (ReplayOp& op : ops) {
-    RegistryShard& shard = shard_for(op.name);
-    auto it = shard.streams.find(op.name);
-    Entry* entry = (it == shard.streams.end()) ? nullptr : it->second.get();
+      if (op.type == wal::RecordType::kStreamCreate) {
+        if (entry != nullptr) {
+          if (entry->incarnation >= op.incarnation) {
+            ++stats.skipped;
+          } else {
+            replay_fail("create for stream '" + name +
+                        "' without a remove of its previous incarnation");
+          }
+          continue;
+        }
+        auto fresh = std::make_unique<Entry>(name, options_.stream);
+        fresh->incarnation = op.incarnation;
+        shard.streams.emplace(name, std::move(fresh));
+        if (op.incarnation > incarnation_counter_.load(std::memory_order_relaxed)) {
+          incarnation_counter_.store(op.incarnation, std::memory_order_relaxed);
+        }
+        ++stats.applied;
+        continue;
+      }
 
-    if (op.kind == ReplayOp::kCreate) {
-      if (entry != nullptr) {
-        if (entry->incarnation >= op.incarnation) {
-          ++stats.skipped;
+      if (op.type == wal::RecordType::kStreamRemove) {
+        if (entry == nullptr || entry->incarnation > op.incarnation) {
+          ++stats.skipped;  // snapshot already reflects the remove (and beyond)
         } else {
-          replay_fail("create for stream '" + op.name +
-                      "' without a remove of its previous incarnation");
+          shard.streams.erase(it);
+          pending.reset();
+          ++stats.applied;
         }
         continue;
       }
-      auto fresh = std::make_unique<Entry>(op.name, options_.stream);
-      fresh->incarnation = op.incarnation;
-      shard.streams.emplace(op.name, std::move(fresh));
-      if (op.incarnation > incarnation_counter_.load(std::memory_order_relaxed)) {
-        incarnation_counter_.store(op.incarnation, std::memory_order_relaxed);
-      }
-      ++stats.applied;
-      continue;
-    }
 
-    if (op.kind == ReplayOp::kRemove) {
+      // Ingest / refit / refit-fail: gate on (incarnation, seq).
       if (entry == nullptr || entry->incarnation > op.incarnation) {
-        ++stats.skipped;  // snapshot already reflects the remove (and beyond)
-      } else {
-        shard.streams.erase(it);
-        pending.erase(op.name);
-        ++stats.applied;
+        ++stats.skipped;  // its remove was compacted into the snapshot
+        continue;
       }
-      continue;
-    }
-
-    // Ingest / refit / refit-fail: gate on (incarnation, seq).
-    if (entry == nullptr || entry->incarnation > op.incarnation) {
-      ++stats.skipped;  // its remove was compacted into the snapshot
-      continue;
-    }
-    if (entry->incarnation < op.incarnation) {
-      replay_fail("record for stream '" + op.name + "' incarnation " +
-                  std::to_string(op.incarnation) + " without its create");
-    }
-    if (op.seq <= entry->wal_seq) {
-      ++stats.skipped;  // already folded into the snapshot
-      continue;
-    }
-    if (op.seq != entry->wal_seq + 1) {
-      replay_fail("sequence gap on stream '" + op.name + "' (wanted " +
-                  std::to_string(entry->wal_seq + 1) + ", found " +
-                  std::to_string(op.seq) + ")");
-    }
-    switch (op.type) {
-      case wal::RecordType::kIngest: {
-        const IngestEffects fx = apply_ingest_locked(*entry, op.t, op.value);
-        if (fx.want_refit) pending[op.name] = fx.ordinal;
-        break;
+      if (entry->incarnation < op.incarnation) {
+        replay_fail("record for stream '" + name + "' incarnation " +
+                    std::to_string(op.incarnation) + " without its create");
       }
-      case wal::RecordType::kIngestBatch:
-        // One sequencing step covering every sample; the CRC frame makes the
-        // batch atomic on disk, so it is either fully here or fully torn.
-        for (const auto& [t, value] : op.samples) {
-          const IngestEffects fx = apply_ingest_locked(*entry, t, value);
-          if (fx.want_refit) pending[op.name] = fx.ordinal;
+      if (op.rank <= entry->wal_seq) {
+        ++stats.skipped;  // already folded into the snapshot
+        continue;
+      }
+      if (op.rank != entry->wal_seq + 1) {
+        replay_fail("sequence gap on stream '" + name + "' (wanted " +
+                    std::to_string(entry->wal_seq + 1) + ", found " +
+                    std::to_string(op.rank) + ")");
+      }
+      switch (op.type) {
+        case wal::RecordType::kIngest:
+        case wal::RecordType::kIngestBatch:
+          // A batch is one sequencing step covering every sample; the CRC
+          // frame makes it atomic on disk, so it is fully here or fully torn.
+          for (std::size_t i = op.first; i < op.first + op.count; ++i) {
+            const auto [t, value] = plan.samples[i];
+            const IngestEffects fx = apply_ingest_locked(*entry, t, value);
+            if (fx.want_refit) pending = fx.ordinal;
+          }
+          break;
+        case wal::RecordType::kRefit: {
+          RefitOp& refit = plan.refits[op.first];
+          pending.reset();
+          entry->fit = std::move(refit.fit);
+          entry->fit_event_ordinal = refit.ordinal;
+          entry->predicted_recovery = refit.predicted_recovery;
+          entry->predicted_trough_time = refit.predicted_trough_time;
+          entry->predicted_trough_value = refit.predicted_trough_value;
+          entry->state.set_predicted_recovery(refit.predicted_recovery);
+          ++entry->refits;
+          if (refit.warm) ++entry->warm_refits;
+          break;
         }
-        break;
-      case wal::RecordType::kRefit:
-        pending.erase(op.name);
-        entry->fit = std::move(*op.fit);
-        entry->fit_event_ordinal = op.ordinal;
-        entry->predicted_recovery = op.predicted_recovery;
-        entry->predicted_trough_time = op.predicted_trough_time;
-        entry->predicted_trough_value = op.predicted_trough_value;
-        entry->state.set_predicted_recovery(op.predicted_recovery);
-        ++entry->refits;
-        if (op.warm) ++entry->warm_refits;
-        break;
-      case wal::RecordType::kRefitFail:
-        pending.erase(op.name);
-        ++entry->failed_refits;
-        break;
-      default:
-        replay_fail("unexpected record type in stream replay");
+        case wal::RecordType::kRefitFail:
+          pending.reset();
+          ++entry->failed_refits;
+          break;
+        default:
+          replay_fail("unexpected record type in stream replay");
+      }
+      entry->wal_seq = op.rank;
+      ++stats.applied;
     }
-    entry->wal_seq = op.seq;
-    ++stats.applied;
+    if (pending) pending_refits_.emplace_back(name, *pending);
   }
-
-  pending_refits_.assign(pending.begin(), pending.end());
 }
 
 void Monitor::reschedule_pending_refits() {
@@ -1074,9 +1086,9 @@ void Monitor::checkpoint() {
   // them. Records landing in the fresh segments meanwhile merely overlap the
   // snapshot, which replay's sequence gating already handles.
   const std::vector<std::uint64_t> watermarks = wal_->rotate_all();
-  std::ostringstream snapshot;
+  std::string snapshot;
   save(snapshot);
-  wal::atomic_write_file(wal::snapshot_path(options_.wal.dir), snapshot.str());
+  wal::atomic_write_file(wal::snapshot_path(options_.wal.dir), snapshot);
   wal_->remove_segments_below(watermarks);
 }
 

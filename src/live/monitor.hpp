@@ -48,6 +48,7 @@
 
 #include "core/fitting.hpp"
 #include "core/metrics.hpp"
+#include "core/text_codec.hpp"
 #include "live/alerts.hpp"
 #include "live/refit_scheduler.hpp"
 #include "live/stream_state.hpp"
@@ -206,8 +207,10 @@ class Monitor {
   std::size_t registry_shards() const noexcept { return registry_.size(); }
 
   /// Persist the full monitor state (drains refits first so the snapshot is
-  /// quiescent). Restore with load(); alert rules/subscribers and options
-  /// are NOT serialized -- the caller re-supplies them.
+  /// quiescent; the string overload appends). Restore with load(); alert
+  /// subscribers and options are NOT serialized -- the caller re-supplies
+  /// them.
+  void save(std::string& out);
   void save(std::ostream& out);
   void save_file(const std::string& path);
 
@@ -316,7 +319,7 @@ class Monitor {
   /// due-tracking), shared verbatim by live ingest and WAL replay so the two
   /// paths cannot drift. Caller holds entry.m and has already validated.
   IngestEffects apply_ingest_locked(Entry& entry, double t, double value);
-  static std::unique_ptr<Monitor> load_impl(std::istream& in, MonitorOptions options,
+  static std::unique_ptr<Monitor> load_impl(core::TextReader& in, MonitorOptions options,
                                             bool attach_wal);
   /// Open the WAL on a fresh-or-empty directory (throws when the directory
   /// already holds state) and start the maintenance thread.
@@ -325,7 +328,7 @@ class Monitor {
   void stop_maintenance();
   void maintenance_main();
   /// Replay WAL records on top of the current (snapshot-loaded) state.
-  void replay(std::vector<wal::ReplayRecord> records, wal::RecoveryStats& stats);
+  void replay(const std::vector<wal::ReplayRecord>& records, wal::RecoveryStats& stats);
   /// Re-queue the refits the log proves were scheduled but never produced a
   /// kRefit/kRefitFail record -- the crashed process's refit queue. Called by
   /// recover() only after the WAL is reattached so the jobs' results are

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -13,32 +12,6 @@ namespace prm::live {
 namespace {
 
 constexpr int kFormatVersion = 1;
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("StreamState::load: " + what);
-}
-
-void expect_key(std::istream& in, const std::string& key) {
-  std::string k;
-  if (!(in >> k)) fail("unexpected end of input, wanted '" + key + "'");
-  if (k != key) fail("expected '" + key + "', found '" + k + "'");
-}
-
-std::vector<double> read_doubles(std::istream& in) {
-  std::size_t n = 0;
-  if (!(in >> n)) fail("missing count");
-  std::vector<double> v(n);
-  for (double& x : v) {
-    if (!(in >> x)) fail("truncated numeric list");
-  }
-  return v;
-}
-
-void write_doubles(std::ostream& out, const std::vector<double>& v) {
-  out << v.size();
-  for (double x : v) out << ' ' << x;
-  out << '\n';
-}
 
 // Same floor as data::detect_downward_shift: a flat baseline must still be
 // able to alarm without making every deviation infinite-sigma.
@@ -367,117 +340,141 @@ std::vector<TransitionEvent> StreamState::push(double t, double value) {
                                       transitions_.end());
 }
 
-void StreamState::save(std::ostream& out) const {
-  out << "prm-stream " << kFormatVersion << '\n';
-  out << "name " << name_ << '\n';
-  out << std::setprecision(17);
-  out << "phase " << to_string(phase_) << '\n';
-  out << "samples_seen " << samples_seen_ << '\n';
-  out << "last " << last_time_ << ' ' << last_value_ << '\n';
+void StreamState::save(std::string& out) const {
+  core::TextWriter w(out);
+  w << "prm-stream " << kFormatVersion << '\n';
+  w << "name " << name_ << '\n';
+  w << "phase " << to_string(phase_) << '\n';
+  w << "samples_seen " << samples_seen_ << '\n';
+  w << "last " << last_time_ << ' ' << last_value_ << '\n';
   const data::PerformanceSeries window = window_series();
-  out << "ring_times ";
-  write_doubles(out, {window.times().begin(), window.times().end()});
-  out << "ring_values ";
-  write_doubles(out, {window.values().begin(), window.values().end()});
-  out << "baseline " << (have_baseline_ ? 1 : 0) << ' ' << active_mean_ << ' '
-      << active_sigma_ << '\n';
-  out << "accum " << accum_count_ << ' ' << accum_mean_ << ' ' << accum_m2_ << '\n';
-  out << "cusum " << cusum_s_ << '\n';
-  out << "event_ordinal " << event_ordinal_ << '\n';
-  out << "onset " << onset_time_ << ' ' << onset_peak_value_ << '\n';
-  out << "event_times ";
-  write_doubles(out, event_times_);
-  out << "event_values ";
-  write_doubles(out, event_values_);
-  out << "stride " << event_stride_ << ' ' << stride_phase_ << '\n';
-  out << "trough " << event_trough_value_ << ' ' << event_trough_time_ << '\n';
-  out << "dip " << dip_min_value_ << ' ' << rising_count_ << '\n';
-  out << "recovery " << recovery_max_ << ' ' << falling_count_ << ' ' << restored_count_
-      << '\n';
-  out << "predicted " << (have_predicted_recovery_ ? 1 : 0) << ' ' << predicted_recovery_
-      << '\n';
-  out << "transitions " << transitions_.size() << '\n';
+  w << "ring_times ";
+  w.list(window.times());
+  w << "ring_values ";
+  w.list(window.values());
+  w << "baseline " << (have_baseline_ ? 1 : 0) << ' ' << active_mean_ << ' '
+    << active_sigma_ << '\n';
+  w << "accum " << accum_count_ << ' ' << accum_mean_ << ' ' << accum_m2_ << '\n';
+  w << "cusum " << cusum_s_ << '\n';
+  w << "event_ordinal " << event_ordinal_ << '\n';
+  w << "onset " << onset_time_ << ' ' << onset_peak_value_ << '\n';
+  w << "event_times ";
+  w.list(event_times_);
+  w << "event_values ";
+  w.list(event_values_);
+  w << "stride " << event_stride_ << ' ' << stride_phase_ << '\n';
+  w << "trough " << event_trough_value_ << ' ' << event_trough_time_ << '\n';
+  w << "dip " << dip_min_value_ << ' ' << rising_count_ << '\n';
+  w << "recovery " << recovery_max_ << ' ' << falling_count_ << ' ' << restored_count_
+    << '\n';
+  w << "predicted " << (have_predicted_recovery_ ? 1 : 0) << ' ' << predicted_recovery_
+    << '\n';
+  w << "transitions " << transitions_.size() << '\n';
   for (const TransitionEvent& ev : transitions_) {
-    out << to_string(ev.from) << ' ' << to_string(ev.to) << ' ' << ev.t << ' '
-        << ev.sample_index << '\n';
+    w << to_string(ev.from) << ' ' << to_string(ev.to) << ' ' << ev.t << ' '
+      << ev.sample_index << '\n';
   }
 }
 
-StreamState StreamState::load(std::istream& in, StreamConfig config) {
-  expect_key(in, "prm-stream");
-  int version = 0;
-  if (!(in >> version)) fail("missing format version");
+void StreamState::save(std::ostream& out) const {
+  std::string text;
+  save(text);
+  out << text;
+}
+
+StreamState StreamState::load(core::TextReader& in, StreamConfig config) {
+  const char* outer = in.set_context("StreamState::load");
+  in.expect("prm-stream");
+  const std::uint64_t version = in.count("format version");
   if (version != kFormatVersion) {
-    fail("unsupported format version " + std::to_string(version));
+    in.fail("unsupported format version " + std::to_string(version));
   }
-  expect_key(in, "name");
-  std::string name;
-  if (!(in >> name)) fail("missing name");
-  StreamState s(name, config);
+  in.expect("name");
+  StreamState s(std::string(in.token("name")), config);
 
-  expect_key(in, "phase");
-  std::string phase;
-  if (!(in >> phase)) fail("missing phase");
-  s.phase_ = phase_from_string(phase);
-  expect_key(in, "samples_seen");
-  if (!(in >> s.samples_seen_)) fail("missing samples_seen");
-  expect_key(in, "last");
-  if (!(in >> s.last_time_ >> s.last_value_)) fail("missing last sample");
+  in.expect("phase");
+  try {
+    s.phase_ = phase_from_string(in.token("phase"));
+  } catch (const std::invalid_argument& e) {
+    in.fail(e.what());
+  }
+  in.expect("samples_seen");
+  s.samples_seen_ = in.count("samples_seen");
+  in.expect("last");
+  s.last_time_ = in.number("last sample");
+  s.last_value_ = in.number("last sample");
 
-  expect_key(in, "ring_times");
-  const std::vector<double> rt = read_doubles(in);
-  expect_key(in, "ring_values");
-  const std::vector<double> rv = read_doubles(in);
-  if (rt.size() != rv.size()) fail("ring times/values size mismatch");
-  if (rt.size() > config.window_capacity) fail("ring larger than window_capacity");
+  in.expect("ring_times");
+  const std::vector<double> rt = in.list("ring_times");
+  in.expect("ring_values");
+  const std::vector<double> rv = in.list("ring_values");
+  if (rt.size() != rv.size()) in.fail("ring times/values size mismatch");
+  if (rt.size() > config.window_capacity) in.fail("ring larger than window_capacity");
   for (std::size_t i = 0; i < rt.size(); ++i) s.ring_push(rt[i], rv[i]);
 
-  int have_baseline = 0;
-  expect_key(in, "baseline");
-  if (!(in >> have_baseline >> s.active_mean_ >> s.active_sigma_)) fail("missing baseline");
-  s.have_baseline_ = have_baseline != 0;
-  expect_key(in, "accum");
-  if (!(in >> s.accum_count_ >> s.accum_mean_ >> s.accum_m2_)) fail("missing accum");
-  expect_key(in, "cusum");
-  if (!(in >> s.cusum_s_)) fail("missing cusum");
-  expect_key(in, "event_ordinal");
-  if (!(in >> s.event_ordinal_)) fail("missing event_ordinal");
-  expect_key(in, "onset");
-  if (!(in >> s.onset_time_ >> s.onset_peak_value_)) fail("missing onset");
-  expect_key(in, "event_times");
-  s.event_times_ = read_doubles(in);
-  expect_key(in, "event_values");
-  s.event_values_ = read_doubles(in);
+  in.expect("baseline");
+  s.have_baseline_ = in.count("baseline") != 0;
+  s.active_mean_ = in.number("baseline");
+  s.active_sigma_ = in.number("baseline");
+  in.expect("accum");
+  s.accum_count_ = in.count("accum");
+  s.accum_mean_ = in.number("accum");
+  s.accum_m2_ = in.number("accum");
+  in.expect("cusum");
+  s.cusum_s_ = in.number("cusum");
+  in.expect("event_ordinal");
+  s.event_ordinal_ = in.count("event_ordinal");
+  in.expect("onset");
+  s.onset_time_ = in.number("onset");
+  s.onset_peak_value_ = in.number("onset");
+  in.expect("event_times");
+  s.event_times_ = in.list("event_times");
+  in.expect("event_values");
+  s.event_values_ = in.list("event_values");
   if (s.event_times_.size() != s.event_values_.size()) {
-    fail("event times/values size mismatch");
+    in.fail("event times/values size mismatch");
   }
-  expect_key(in, "stride");
-  if (!(in >> s.event_stride_ >> s.stride_phase_)) fail("missing stride");
-  if (s.event_stride_ == 0) fail("stride must be positive");
-  expect_key(in, "trough");
-  if (!(in >> s.event_trough_value_ >> s.event_trough_time_)) fail("missing trough");
-  expect_key(in, "dip");
-  if (!(in >> s.dip_min_value_ >> s.rising_count_)) fail("missing dip");
-  expect_key(in, "recovery");
-  if (!(in >> s.recovery_max_ >> s.falling_count_ >> s.restored_count_)) {
-    fail("missing recovery");
-  }
-  int have_predicted = 0;
-  expect_key(in, "predicted");
-  if (!(in >> have_predicted >> s.predicted_recovery_)) fail("missing predicted");
-  s.have_predicted_recovery_ = have_predicted != 0;
+  in.expect("stride");
+  s.event_stride_ = in.count("stride");
+  s.stride_phase_ = in.count("stride");
+  if (s.event_stride_ == 0) in.fail("stride must be positive");
+  in.expect("trough");
+  s.event_trough_value_ = in.number("trough");
+  s.event_trough_time_ = in.number("trough");
+  in.expect("dip");
+  s.dip_min_value_ = in.number("dip");
+  s.rising_count_ = in.count("dip");
+  in.expect("recovery");
+  s.recovery_max_ = in.number("recovery");
+  s.falling_count_ = in.count("recovery");
+  s.restored_count_ = in.count("recovery");
+  in.expect("predicted");
+  s.have_predicted_recovery_ = in.count("predicted") != 0;
+  s.predicted_recovery_ = in.number("predicted");
 
-  expect_key(in, "transitions");
-  std::size_t n = 0;
-  if (!(in >> n)) fail("missing transition count");
-  s.transitions_.resize(n);
-  for (TransitionEvent& ev : s.transitions_) {
-    std::string from, to;
-    if (!(in >> from >> to >> ev.t >> ev.sample_index)) fail("truncated transition");
-    ev.from = phase_from_string(from);
-    ev.to = phase_from_string(to);
+  in.expect("transitions");
+  const std::uint64_t n = in.count("transition count");
+  // A transition line takes at least 8 bytes ("X Y 0 0\n" with 1-char phases).
+  if (n > 1 + (in.remaining() / 8)) in.fail("truncated transitions");
+  s.transitions_.resize(static_cast<std::size_t>(n));
+  try {
+    for (TransitionEvent& ev : s.transitions_) {
+      ev.from = phase_from_string(in.token("transition"));
+      ev.to = phase_from_string(in.token("transition"));
+      ev.t = in.number("transition");
+      ev.sample_index = in.count("transition");
+    }
+  } catch (const std::invalid_argument& e) {
+    in.fail(e.what());
   }
+  in.set_context(outer);
   return s;
+}
+
+StreamState StreamState::load(std::istream& in, StreamConfig config) {
+  const std::string text = core::read_rest(in);
+  core::TextReader reader(text, "StreamState::load");
+  return load(reader, config);
 }
 
 }  // namespace prm::live

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/text_codec.hpp"
 #include "data/changepoint.hpp"
 #include "data/time_series.hpp"
 
@@ -133,10 +134,12 @@ class StreamState {
   double baseline_mean() const noexcept { return active_mean_; }
   double baseline_sigma() const noexcept { return active_sigma_; }
 
-  /// Dump/restore the full dynamic state (same line-oriented style as
-  /// core/serialize). `load` must be given the same config the state was
-  /// running with; the config itself is not serialized.
+  /// Dump/restore the full dynamic state (same line-oriented style and codec
+  /// as core/serialize; `save` appends). `load` must be given the same config
+  /// the state was running with; the config itself is not serialized.
+  void save(std::string& out) const;
   void save(std::ostream& out) const;
+  static StreamState load(core::TextReader& in, StreamConfig config = {});
   static StreamState load(std::istream& in, StreamConfig config = {});
 
  private:

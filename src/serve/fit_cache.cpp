@@ -20,15 +20,6 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
   return h;
 }
 
-std::uint64_t fnv1a_doubles(std::uint64_t h, std::span<const double> values) {
-  for (const double v : values) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);  // raw bits: -0.0 != 0.0, NaNs stable
-    h = fnv1a(h, &bits, sizeof bits);
-  }
-  return h;
-}
-
 /// 64-bit finalizer (splitmix64) so shard selection uses well-mixed high
 /// entropy even if the FNV digest clusters in its low bits.
 std::uint64_t mix64(std::uint64_t x) noexcept {
@@ -41,11 +32,26 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 }  // namespace
 
 std::uint64_t hash_series(const data::PerformanceSeries& series) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_doubles(h, series.times());
-  h = fnv1a(h, "|", 1);  // separator: times [a] values [] != times [] values [a]
-  h = fnv1a_doubles(h, series.values());
-  return h;
+  // Word-at-a-time FNV on two lanes, times on one and values on the other
+  // (the scheme of the response cache's fnv_words): the lanes' multiplies
+  // overlap instead of forming one serial chain per byte. Each step
+  // h = (h ^ w) * prime is a bijection of h for odd prime, so a change to
+  // any one sample's raw bits (-0.0 != 0.0) always changes its lane, and the
+  // bijective mix64 carries the value lane into the result.
+  const std::span<const double> times = series.times();
+  const std::span<const double> values = series.values();
+  std::uint64_t h1 = kFnvOffset;
+  std::uint64_t h2 = kFnvOffset ^ 0x27220a95fe844299ull;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    std::uint64_t t = 0;
+    std::uint64_t v = 0;
+    std::memcpy(&t, &times[i], sizeof t);
+    std::memcpy(&v, &values[i], sizeof v);
+    h1 = (h1 ^ t) * kFnvPrime;
+    h2 = (h2 ^ v) * kFnvPrime;
+  }
+  h2 = (h2 ^ (static_cast<std::uint64_t>(times.size()) << 1)) * kFnvPrime;
+  return h1 ^ mix64(h2);
 }
 
 bool cacheable(const core::FitOptions& options) {

@@ -59,7 +59,7 @@ FitCacheKey make_fit_cache_key(const data::PerformanceSeries& series,
 /// False when `options` carries state the key does not capture.
 bool cacheable(const core::FitOptions& options);
 
-/// FNV-1a over the raw bytes of the series' time and value arrays.
+/// Two-lane word-wise FNV over the raw bits of the series' times and values.
 std::uint64_t hash_series(const data::PerformanceSeries& series);
 
 /// Aggregated counters across every shard, snapshotted shard-by-shard (the

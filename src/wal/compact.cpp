@@ -91,6 +91,31 @@ void atomic_write_file(const std::string& path, const std::string& contents) {
   fsync_dir(parent_dir(path));
 }
 
+std::string read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) fail("cannot open", path);
+  std::string data;
+  struct stat st{};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    data.reserve(static_cast<std::size_t>(st.st_size));
+  }
+  char buffer[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buffer, sizeof buffer);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int saved = errno;
+      ::close(fd);
+      errno = saved;
+      fail("read failed for", path);
+    }
+    if (n == 0) break;
+    data.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return data;
+}
+
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;

@@ -30,6 +30,9 @@ void fsync_dir(const std::string& dir);
 /// over the target, fsync the parent directory.
 void atomic_write_file(const std::string& path, const std::string& contents);
 
+/// The whole file; throws std::runtime_error when it cannot be read.
+std::string read_file(const std::string& path);
+
 bool file_exists(const std::string& path);
 
 /// Size in bytes; throws when the file cannot be stat'ed.

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "wal/compact.hpp"
+
 namespace prm::wal {
 
 namespace {
@@ -54,27 +56,8 @@ void SegmentWriter::sync() {
   if (::fsync(fd_) != 0) fail("fsync failed for", path_);
 }
 
-SegmentScan read_segment(const std::string& path,
-                         const std::function<void(const Record&)>& fn) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) fail("cannot open", path);
-
-  std::string data;
-  char buffer[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof buffer);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      errno = saved;
-      fail("read failed for", path);
-    }
-    if (n == 0) break;
-    data.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-
+SegmentScan read_segment(const std::string& path, const std::function<void(Record&)>& fn) {
+  const std::string data = read_file(path);
   SegmentScan scan;
   scan.total_bytes = data.size();
   std::size_t offset = 0;

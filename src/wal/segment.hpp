@@ -61,10 +61,10 @@ struct SegmentScan {
   bool torn = false;             ///< Trailing partial/corrupt frame present.
 };
 
-/// Decode every clean frame in `path` in order, invoking `fn` for each.
-/// Returns what was found; throws std::runtime_error only for I/O failures
-/// (a torn tail is an expected crash artifact, not an error).
-SegmentScan read_segment(const std::string& path,
-                         const std::function<void(const Record&)>& fn);
+/// Decode every clean frame in `path` in order, invoking `fn` for each; `fn`
+/// may move the record's payload out. Returns what was found; throws
+/// std::runtime_error only for I/O failures (a torn tail is an expected crash
+/// artifact, not an error).
+SegmentScan read_segment(const std::string& path, const std::function<void(Record&)>& fn);
 
 }  // namespace prm::wal

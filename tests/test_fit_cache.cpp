@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -49,6 +51,41 @@ TEST(FitCacheKey, TimesMatterIndependentlyOfValues) {
   const core::FitOptions options;
   EXPECT_NE(serve::make_fit_cache_key(a, "m", 1, options),
             serve::make_fit_cache_key(b, "m", 1, options));
+}
+
+TEST(FitCacheKey, OneBitChangeInAnySampleChangesTheSeriesHash) {
+  // Raw-bit semantics: flipping any single bit of any time or value --
+  // including the sign bit that separates -0.0 from 0.0 -- changes the hash.
+  std::vector<double> times = {0.0, 1.0, 2.5, 4.0, 7.0};
+  std::vector<double> values = {1.0, 0.0, 0.75, 0.9, 1.01};
+  const std::uint64_t base =
+      serve::hash_series(data::PerformanceSeries("s", times, values));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    for (int bit = 0; bit < 64; ++bit) {
+      std::vector<double> flipped = values;
+      std::uint64_t word = 0;
+      std::memcpy(&word, &flipped[i], sizeof word);
+      word ^= std::uint64_t{1} << bit;
+      std::memcpy(&flipped[i], &word, sizeof word);
+      EXPECT_NE(serve::hash_series(data::PerformanceSeries("s", times, flipped)), base)
+          << "value " << i << " bit " << bit;
+    }
+  }
+  // Times must stay increasing: flip only the low 40 mantissa bits of the
+  // interior samples, which keeps the order.
+  for (std::size_t i = 1; i + 1 < times.size(); ++i) {
+    for (int bit = 0; bit < 40; ++bit) {
+      std::vector<double> flipped = times;
+      std::uint64_t word = 0;
+      std::memcpy(&word, &flipped[i], sizeof word);
+      word ^= std::uint64_t{1} << bit;
+      std::memcpy(&flipped[i], &word, sizeof word);
+      EXPECT_NE(serve::hash_series(data::PerformanceSeries("s", flipped, values)), base)
+          << "time " << i << " bit " << bit;
+    }
+  }
+  EXPECT_NE(serve::hash_series(data::PerformanceSeries("s", {0.0, 1.0}, {1.0, 0.0})),
+            serve::hash_series(data::PerformanceSeries("s", {0.0, 1.0}, {1.0, -0.0})));
 }
 
 TEST(FitCacheKey, EveryScalarFieldParticipates) {
