@@ -1,5 +1,9 @@
 #include "live/monitor.hpp"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -875,8 +879,16 @@ std::unique_ptr<Monitor> Monitor::recover(MonitorOptions options) {
   } else {
     monitor = std::unique_ptr<Monitor>(new Monitor(std::move(options), DeferWalTag{}));
   }
-  const auto records = wal::read_all_records(monitor->options_.wal.dir, stats);
-  monitor->replay(records, stats);
+  {
+    const auto records = wal::read_all_records(monitor->options_.wal.dir, stats);
+    monitor->replay(records, stats);
+  }
+#ifdef __GLIBC__
+  // The log's payloads and the replay plan were freed below the state that
+  // replay built, so the heap cannot shrink from its top: hand the free
+  // pages back, or the boot burst stays resident for the process's life.
+  ::malloc_trim(0);
+#endif
   monitor->recovery_stats_ = stats;
   // Only now open the log for writing: replay never appends, and the fresh
   // segments the Wal creates start after everything just replayed.

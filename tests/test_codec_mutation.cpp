@@ -142,8 +142,8 @@ TEST(CodecMutation, MonitorLoadSurvivesMutants) {
     std::string saved;
     monitor->save(saved);
   };
-  const int a = survive(competing_risks_snapshot(), 101, 500, load);
-  const int b = survive(wal::read_file(codec_fixture::recovered_path()), 102, 500, load);
+  const int a = survive(competing_risks_snapshot(), 101, 300, load);
+  const int b = survive(wal::read_file(codec_fixture::recovered_path()), 102, 300, load);
   EXPECT_GT(a + b, 0) << "no mutant loaded: the mutator only exercises the first check";
 }
 
