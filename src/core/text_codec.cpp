@@ -82,7 +82,9 @@ T TextReader::parse(std::string_view what, const char* kind) {
   fail(kind + std::string(what) + ": '" + std::string(tok) + "'");
 }
 
-double TextReader::number(std::string_view what) { return parse<double>(what, "bad value for "); }
+double TextReader::number(std::string_view what) {
+  return parse<double>(what, "bad value for ");
+}
 
 std::uint64_t TextReader::count(std::string_view what) {
   return parse<std::uint64_t>(what, "bad count for ");

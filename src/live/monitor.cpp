@@ -83,11 +83,12 @@ AlertRule read_rule(core::TextReader& in) {
 /// The WAL records of one recovery, parsed once into replay form. An op is
 /// small and flat: its stream is an index into the plan's distinct names
 /// (views into the payloads, which outlive the plan), and its samples and
-/// refit result sit in the plan's side tables. Mutations of a stream sort by (name, incarnation,
-/// rank): the create of an incarnation first (rank 0), its ingest/refit ops
-/// by their per-stream sequence number, its remove last. That keying -- not
-/// the segment file a record sat in -- defines replay order, which keeps
-/// recovery correct even across a shard-count change.
+/// refit result sit in the plan's side tables. Mutations of a stream sort
+/// by (name, incarnation, rank): the create of an incarnation first (rank
+/// 0), its ingest/refit ops by their per-stream sequence number, its remove
+/// last. That keying -- not the segment file a record sat in -- defines
+/// replay order, which keeps recovery correct even across a shard-count
+/// change.
 struct ReplayOp {
   wal::RecordType type = wal::RecordType::kIngest;
   std::uint32_t stream = 0;  ///< Index of the stream's name in ReplayPlan::names.
@@ -935,7 +936,9 @@ void Monitor::replay(const std::vector<wal::ReplayRecord>& records,
   std::vector<std::uint32_t> order(ops.size());
   {
     std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
-    for (std::uint32_t i = 0; i < ops.size(); ++i) order[next[name_rank[ops[i].stream]]++] = i;
+    for (std::uint32_t i = 0; i < ops.size(); ++i) {
+      order[next[name_rank[ops[i].stream]]++] = i;
+    }
   }
   const auto by_sequence = [&ops](std::uint32_t a, std::uint32_t b) {
     if (ops[a].incarnation != ops[b].incarnation) {

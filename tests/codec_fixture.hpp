@@ -45,7 +45,8 @@ class ProbeModel final : public core::ResilienceModel {
     if (!std::isfinite(t)) return std::numeric_limits<double>::infinity();
     return p[0] + p[1] * t;
   }
-  std::vector<num::Vector> initial_guesses(const data::PerformanceSeries& s) const override {
+  std::vector<num::Vector> initial_guesses(
+      const data::PerformanceSeries& s) const override {
     return {{s.value(0), 0.0}};
   }
   std::pair<num::Vector, num::Vector> search_box(

@@ -32,8 +32,9 @@ std::map<std::string, std::string> files_of(const std::string& dir) {
 TEST(WalCompat, FixtureHoldsEveryRecordTypeAndNonFinitePredictions) {
   std::set<int> types;
   for (const wal::SegmentInfo& segment : wal::list_segments(codec_fixture::fixture_dir())) {
-    wal::read_segment(segment.path,
-                      [&](const wal::Record& r) { types.insert(static_cast<int>(r.type)); });
+    wal::read_segment(segment.path, [&](const wal::Record& r) {
+      types.insert(static_cast<int>(r.type));
+    });
   }
   EXPECT_EQ(types, (std::set<int>{1, 2, 3, 4, 5, 6, 7}));
 
