@@ -12,6 +12,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -916,40 +917,26 @@ void Monitor::replay(const std::vector<wal::ReplayRecord>& records,
   // Replay order is defined by the keys INSIDE the records -- per stream by
   // (incarnation, seq), rules by meta_seq -- not by which segment file held
   // them. The per-entry gating below then skips anything the snapshot
-  // already covers and trips loudly on a genuine gap. Ops are ordered through
-  // an index: a counting sort by the name's rank among the distinct names,
-  // then each stream's ops by (incarnation, rank), ties kept in log order as
-  // a stable sort would. No op moves, and names are compared only to rank
-  // the distinct ones.
+  // already covers and trips loudly on a genuine gap. The ops stay put: a
+  // uint32_t index is stable-sorted by (name, incarnation, rank), with each
+  // name replaced by its rank among the distinct names so that names are
+  // compared only to rank them.
   const std::vector<ReplayOp>& ops = plan.ops;
-  const std::size_t stream_count = plan.names.size();
-  std::vector<std::uint32_t> by_name(stream_count);
-  std::iota(by_name.begin(), by_name.end(), 0u);
-  std::sort(by_name.begin(), by_name.end(), [&plan](std::uint32_t a, std::uint32_t b) {
-    return plan.names[a] < plan.names[b];
-  });
-  std::vector<std::uint32_t> name_rank(stream_count);
-  for (std::uint32_t r = 0; r < stream_count; ++r) name_rank[by_name[r]] = r;
-  std::vector<std::uint32_t> first(stream_count + 1, 0);
-  for (const ReplayOp& op : ops) ++first[name_rank[op.stream] + 1];
-  std::partial_sum(first.begin(), first.end(), first.begin());
-  std::vector<std::uint32_t> order(ops.size());
+  std::vector<std::uint32_t> name_rank(plan.names.size());
   {
-    std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
-    for (std::uint32_t i = 0; i < ops.size(); ++i) {
-      order[next[name_rank[ops[i].stream]]++] = i;
-    }
+    std::vector<std::uint32_t> by_name(plan.names.size());
+    std::iota(by_name.begin(), by_name.end(), 0u);
+    std::sort(by_name.begin(), by_name.end(), [&plan](std::uint32_t a, std::uint32_t b) {
+      return plan.names[a] < plan.names[b];
+    });
+    for (std::uint32_t r = 0; r < by_name.size(); ++r) name_rank[by_name[r]] = r;
   }
-  const auto by_sequence = [&ops](std::uint32_t a, std::uint32_t b) {
-    if (ops[a].incarnation != ops[b].incarnation) {
-      return ops[a].incarnation < ops[b].incarnation;
-    }
-    if (ops[a].rank != ops[b].rank) return ops[a].rank < ops[b].rank;
-    return a < b;
-  };
-  for (std::size_t r = 0; r < stream_count; ++r) {
-    std::sort(order.begin() + first[r], order.begin() + first[r + 1], by_sequence);
-  }
+  std::vector<std::uint32_t> order(ops.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::tuple(name_rank[ops[a].stream], ops[a].incarnation, ops[a].rank) <
+           std::tuple(name_rank[ops[b].stream], ops[b].incarnation, ops[b].rank);
+  });
   std::stable_sort(plan.rules.begin(), plan.rules.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
 
@@ -974,11 +961,14 @@ void Monitor::replay(const std::vector<wal::ReplayRecord>& records,
   // result are the refit queue that died with the process -- remember them
   // (last edge per stream, like scheduler coalescing) so recover() can
   // re-queue them once the WAL is reattached.
-  for (std::size_t r = 0; r < stream_count; ++r) {
-    const std::string name(plan.names[by_name[r]]);
+  for (std::size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    const std::uint32_t stream = ops[order[begin]].stream;
+    end = begin + 1;
+    while (end < order.size() && ops[order[end]].stream == stream) ++end;
+    const std::string name(plan.names[stream]);
     RegistryShard& shard = shard_for(name);
     std::optional<std::uint64_t> pending;
-    for (std::uint32_t k = first[r]; k < first[r + 1]; ++k) {
+    for (std::size_t k = begin; k < end; ++k) {
       const ReplayOp& op = ops[order[k]];
       auto it = shard.streams.find(name);
       Entry* entry = (it == shard.streams.end()) ? nullptr : it->second.get();

@@ -29,15 +29,25 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+/// Bit-for-bit equality of two series' times and values (-0.0 != 0.0).
+bool same_samples(const data::PerformanceSeries& a, const data::PerformanceSeries& b) {
+  const std::size_t bytes = a.size() * sizeof(double);
+  return a.size() == b.size() &&
+         (bytes == 0 || (std::memcmp(a.times().data(), b.times().data(), bytes) == 0 &&
+                         std::memcmp(a.values().data(), b.values().data(), bytes) == 0));
+}
+
 }  // namespace
 
 std::uint64_t hash_series(const data::PerformanceSeries& series) {
-  // Word-at-a-time FNV on two lanes, times on one and values on the other
-  // (the scheme of the response cache's fnv_words): the lanes' multiplies
-  // overlap instead of forming one serial chain per byte. Each step
-  // h = (h ^ w) * prime is a bijection of h for odd prime, so a change to
-  // any one sample's raw bits (-0.0 != 0.0) always changes its lane, and the
-  // bijective mix64 carries the value lane into the result.
+  // Word-at-a-time FNV on two lanes, times on one and values on the other:
+  // the lanes' multiplies overlap instead of forming one serial chain per
+  // byte. Each sample's bits go through the bijective mix64 before they
+  // enter a lane, so every bit of a word reaches every bit of the lane;
+  // fed raw, a flip of bit 63 (the sign) only flips the lane's bit 63, and
+  // negating two adjacent samples would cancel out. Each step is still a
+  // bijection of the lane, so a change to any one sample's raw bits
+  // (-0.0 != 0.0) always changes the hash.
   const std::span<const double> times = series.times();
   const std::span<const double> values = series.values();
   std::uint64_t h1 = kFnvOffset;
@@ -47,8 +57,8 @@ std::uint64_t hash_series(const data::PerformanceSeries& series) {
     std::uint64_t v = 0;
     std::memcpy(&t, &times[i], sizeof t);
     std::memcpy(&v, &values[i], sizeof v);
-    h1 = (h1 ^ t) * kFnvPrime;
-    h2 = (h2 ^ v) * kFnvPrime;
+    h1 = (h1 ^ mix64(t)) * kFnvPrime;
+    h2 = (h2 ^ mix64(v)) * kFnvPrime;
   }
   h2 = (h2 ^ (static_cast<std::uint64_t>(times.size()) << 1)) * kFnvPrime;
   return h1 ^ mix64(h2);
@@ -101,10 +111,21 @@ FitCache::FitCache(std::size_t capacity, std::size_t shards)
 }
 
 std::shared_ptr<const core::FitResult> FitCache::lookup(const FitCacheKey& key) {
+  return find(key, nullptr);
+}
+
+std::shared_ptr<const core::FitResult> FitCache::lookup(
+    const FitCacheKey& key, const data::PerformanceSeries& series) {
+  return find(key, &series);
+}
+
+std::shared_ptr<const core::FitResult> FitCache::find(
+    const FitCacheKey& key, const data::PerformanceSeries* series) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  if (it == shard.index.end() ||
+      (series != nullptr && !same_samples(it->second->fit->series(), *series))) {
     ++shard.misses;
     return nullptr;
   }

@@ -2,13 +2,13 @@
 // family, fit options), so identical /v1/fit -- and /v1/forecast, /v1/metrics,
 // which fit internally -- requests skip the multistart optimizer entirely.
 //
-// Keying: the series' time/value doubles are FNV-1a hashed bit-for-bit, and
-// the full key (hash + length + model name + holdout + loss kind/scale) is
-// compared for equality on lookup, so a 64-bit hash collision can at worst
-// cause a spurious miss between two series that share a digest -- never a
-// wrong hit being served, unless the digests AND all scalar fields collide
-// (vanishingly unlikely and bounded by the FNV quality, which unit tests
-// exercise with near-identical series).
+// Keying: the series' time/value doubles are hashed bit-for-bit (word-wise
+// FNV over mixed words, hash_series()), and the full key (hash + length +
+// model name + holdout + loss kind/scale) is compared for equality on
+// lookup. The key holds only a digest of the series, so the request path
+// looks up with the series as well: a hit whose cached fit was made from
+// other samples is counted and returned as a miss, and a 64-bit hash
+// collision can at worst cause a spurious miss -- never a wrong hit.
 //
 // Sharding: the cache is striped into S independent LRU shards, each with its
 // own mutex, order list, and hit/miss/eviction counters. The shard for a key
@@ -38,7 +38,7 @@
 namespace prm::serve {
 
 struct FitCacheKey {
-  std::uint64_t series_hash = 0;  ///< FNV-1a over times then values, raw bits.
+  std::uint64_t series_hash = 0;  ///< hash_series(): raw bits of times and values.
   std::size_t series_length = 0;
   std::string model;
   std::size_t holdout = 0;
@@ -59,7 +59,8 @@ FitCacheKey make_fit_cache_key(const data::PerformanceSeries& series,
 /// False when `options` carries state the key does not capture.
 bool cacheable(const core::FitOptions& options);
 
-/// Two-lane word-wise FNV over the raw bits of the series' times and values.
+/// Two-lane word-wise FNV over the mixed raw bits of the series' times and
+/// values.
 std::uint64_t hash_series(const data::PerformanceSeries& series);
 
 /// Aggregated counters across every shard, snapshotted shard-by-shard (the
@@ -80,8 +81,14 @@ class FitCache {
   explicit FitCache(std::size_t capacity, std::size_t shards = 1);
 
   /// nullptr on miss. A hit promotes the entry to most-recently-used within
-  /// its shard.
+  /// its shard. This form trusts the key, digest included.
   std::shared_ptr<const core::FitResult> lookup(const FitCacheKey& key);
+
+  /// As above, but an entry whose fit was not made from exactly `series`'
+  /// times and values (raw bits) is a miss: a digest collision never hands
+  /// out another series' fit.
+  std::shared_ptr<const core::FitResult> lookup(const FitCacheKey& key,
+                                                const data::PerformanceSeries& series);
 
   /// Insert (or refresh) an entry, evicting the shard's least-recently-used
   /// one when over that shard's capacity. Racing inserts of the same key keep
@@ -127,6 +134,10 @@ class FitCache {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
   };
+
+  /// Both lookups; `series` == nullptr trusts the key.
+  std::shared_ptr<const core::FitResult> find(const FitCacheKey& key,
+                                              const data::PerformanceSeries* series);
 
   Shard& shard_for(const FitCacheKey& key) {
     return shards_[shard_index(key, shards_.size())];

@@ -88,6 +88,35 @@ TEST(FitCacheKey, OneBitChangeInAnySampleChangesTheSeriesHash) {
             serve::hash_series(data::PerformanceSeries("s", {0.0, 1.0}, {1.0, -0.0})));
 }
 
+TEST(FitCacheKey, NegatingTwoSamplesChangesTheSeriesHash) {
+  // Flipping the sign bit of one word and then of a later one must not
+  // cancel out in the lane: negate every pair of values (adjacent or not),
+  // and every pair of one other bit, and the hash must change.
+  const std::vector<double> times = {0.0, 1.0, 2.0, 3.0, 4.0};
+  const std::vector<double> values = {1.0, 0.9, 0.8, 0.85, 0.95};
+  const std::uint64_t base =
+      serve::hash_series(data::PerformanceSeries("s", times, values));
+  for (const int bit : {63, 62, 52, 51, 0}) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      for (std::size_t j = i + 1; j < values.size(); ++j) {
+        std::vector<double> flipped = values;
+        for (const std::size_t k : {i, j}) {
+          std::uint64_t word = 0;
+          std::memcpy(&word, &flipped[k], sizeof word);
+          word ^= std::uint64_t{1} << bit;
+          std::memcpy(&flipped[k], &word, sizeof word);
+        }
+        EXPECT_NE(serve::hash_series(data::PerformanceSeries("s", times, flipped)), base)
+            << "values " << i << " and " << j << " bit " << bit;
+      }
+    }
+  }
+  EXPECT_NE(serve::hash_series(data::PerformanceSeries("s", {0, 1, 2}, {1.0, 0.9, 0.8})),
+            serve::hash_series(data::PerformanceSeries("s", {0, 1, 2}, {1.0, -0.9, -0.8})));
+  EXPECT_NE(serve::hash_series(data::PerformanceSeries("s", {0, 1}, {0.0, 0.0})),
+            serve::hash_series(data::PerformanceSeries("s", {0, 1}, {-0.0, -0.0})));
+}
+
 TEST(FitCacheKey, EveryScalarFieldParticipates) {
   const auto series = series_of({1.0, 0.9, 0.8, 0.85, 0.95});
   core::FitOptions options;
@@ -137,6 +166,31 @@ TEST(FitCache, LookupInsertAndCounters) {
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(FitCache, LookupWithTheSeriesMissesOnAnotherSeriesFit) {
+  // The key holds only a digest of the series. Forge a key collision -- the
+  // key of series `a` presented with series `b`, bitwise different only in
+  // the signs of two samples -- and the series-checked lookup must miss.
+  const auto a = series_of({1.0, 0.9, 0.8, 0.85, 0.95});
+  const auto b = series_of({1.0, -0.9, -0.8, 0.85, 0.95});
+  const auto zeros = series_of({0.0, 0.0, 0.0, 0.0, 0.0});
+  const auto negative_zeros = series_of({0.0, -0.0, -0.0, 0.0, 0.0});
+  FitCache cache(4);
+  for (const auto& [cached, other] : {std::pair{&a, &b}, std::pair{&zeros, &negative_zeros}}) {
+    const core::FitOptions options;
+    const FitCacheKey key = serve::make_fit_cache_key(*cached, "quadratic", 0, options);
+    cache.insert(key, std::make_shared<core::FitResult>(
+                          core::fit_model("quadratic", *cached, 0, options)));
+    const std::uint64_t misses = cache.misses();
+    EXPECT_EQ(cache.lookup(key, *other), nullptr);
+    EXPECT_EQ(cache.misses(), misses + 1);
+    const auto hit = cache.lookup(key, *cached);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->series().values()[1], (*cached).values()[1]);
+    // The key-only form trusts the key.
+    EXPECT_EQ(cache.lookup(key), hit);
+  }
 }
 
 TEST(FitCache, EvictsLeastRecentlyUsed) {

@@ -5,8 +5,12 @@
 //
 // Measured on the fixture (tests/fixtures/wal_v2: a 2.8 KB snapshot and 52
 // log records): the iostream codec made 573 allocations (94,846 bytes); the
-// cursor codec makes the counts pinned below. The directory is always made
-// under /tmp, because the path strings recovery builds count too.
+// cursor codec makes the counts pinned below. Ordering the replay through
+// one std::stable_sort of its index (instead of a counting sort into
+// per-stream buckets) makes one allocation fewer but 76 bytes more: the
+// merge buffer of half the index outweighs the bucket offsets. The
+// directory is always made under /tmp, because the path strings recovery
+// builds count too.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -60,8 +64,8 @@ namespace {
 
 using namespace prm;
 
-constexpr std::uint64_t kMaxAllocations = 211;
-constexpr std::uint64_t kMaxBytes = 50853;
+constexpr std::uint64_t kMaxAllocations = 210;
+constexpr std::uint64_t kMaxBytes = 50929;
 
 TEST(RecoverAllocations, RecoveringTheFixtureStaysWithinItsPin) {
   codec_fixture::TempDir dir("/tmp");
