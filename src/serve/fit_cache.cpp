@@ -110,16 +110,7 @@ FitCache::FitCache(std::size_t capacity, std::size_t shards)
   }
 }
 
-std::shared_ptr<const core::FitResult> FitCache::lookup(const FitCacheKey& key) {
-  return find(key, nullptr);
-}
-
 std::shared_ptr<const core::FitResult> FitCache::lookup(
-    const FitCacheKey& key, const data::PerformanceSeries& series) {
-  return find(key, &series);
-}
-
-std::shared_ptr<const core::FitResult> FitCache::find(
     const FitCacheKey& key, const data::PerformanceSeries* series) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);

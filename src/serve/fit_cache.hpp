@@ -81,14 +81,12 @@ class FitCache {
   explicit FitCache(std::size_t capacity, std::size_t shards = 1);
 
   /// nullptr on miss. A hit promotes the entry to most-recently-used within
-  /// its shard. This form trusts the key, digest included.
-  std::shared_ptr<const core::FitResult> lookup(const FitCacheKey& key);
-
-  /// As above, but an entry whose fit was not made from exactly `series`'
-  /// times and values (raw bits) is a miss: a digest collision never hands
-  /// out another series' fit.
-  std::shared_ptr<const core::FitResult> lookup(const FitCacheKey& key,
-                                                const data::PerformanceSeries& series);
+  /// its shard. Given `series`, an entry whose fit was not made from exactly
+  /// its times and values (raw bits) is a miss, so a digest collision never
+  /// hands out another series' fit; without it the key, digest included, is
+  /// trusted.
+  std::shared_ptr<const core::FitResult> lookup(
+      const FitCacheKey& key, const data::PerformanceSeries* series = nullptr);
 
   /// Insert (or refresh) an entry, evicting the shard's least-recently-used
   /// one when over that shard's capacity. Racing inserts of the same key keep
@@ -134,10 +132,6 @@ class FitCache {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
   };
-
-  /// Both lookups; `series` == nullptr trusts the key.
-  std::shared_ptr<const core::FitResult> find(const FitCacheKey& key,
-                                              const data::PerformanceSeries* series);
 
   Shard& shard_for(const FitCacheKey& key) {
     return shards_[shard_index(key, shards_.size())];

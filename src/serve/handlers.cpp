@@ -138,7 +138,7 @@ std::pair<std::shared_ptr<const core::FitResult>, bool> App::fit_or_cache(
     const FitRequest& request) {
   const FitCacheKey key = make_fit_cache_key(request.series, request.model,
                                              request.holdout, request.fit_options);
-  if (auto hit = cache_.lookup(key, request.series)) return {std::move(hit), true};
+  if (auto hit = cache_.lookup(key, &request.series)) return {std::move(hit), true};
 
   auto fit = std::make_shared<core::FitResult>(core::fit_model(
       request.model, request.series, request.holdout, request.fit_options));

@@ -183,9 +183,9 @@ TEST(FitCache, LookupWithTheSeriesMissesOnAnotherSeriesFit) {
     cache.insert(key, std::make_shared<core::FitResult>(
                           core::fit_model("quadratic", *cached, 0, options)));
     const std::uint64_t misses = cache.misses();
-    EXPECT_EQ(cache.lookup(key, *other), nullptr);
+    EXPECT_EQ(cache.lookup(key, other), nullptr);
     EXPECT_EQ(cache.misses(), misses + 1);
-    const auto hit = cache.lookup(key, *cached);
+    const auto hit = cache.lookup(key, cached);
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->series().values()[1], (*cached).values()[1]);
     // The key-only form trusts the key.
